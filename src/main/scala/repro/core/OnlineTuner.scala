@@ -59,9 +59,13 @@ final class OnlineTuner(sim: SparkClusterSim,
     else u
   }
 
-  private def kernelOf(ls: Double) =
-    MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
-      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
+  // One kernel instance per lengthscale multiplier, so GPs that select the
+  // same multiplier on the same inputs can share k(X, x) (Gp.sharesKernel).
+  private val kernels = scala.collection.mutable.Map.empty[Double, MixedKernel]
+
+  private def kernelOf(ls: Double): MixedKernel =
+    kernels.getOrElseUpdate(ls, MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
+      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls))
 
   private def fitGp(xs: Array[Array[Double]], ys: Array[Double]): Gp =
     Gp.fit(xs, ys, kernelOf, noise = 1e-3)
@@ -123,8 +127,11 @@ final class OnlineTuner(sim: SparkClusterSim,
         // streak counters only track the BO acquisitions (§4.1).
         val wasAgd = settings.useAgd && (history.size % settings.nAgd == 0)
         if (!wasAgd && it >= initConfigs.size) subspace.observe(improved)
-        subspace.maybeRefit(history.all.map(_.config),
-          history.all.map(o => math.log(o.objective.max(1e-9))), settings.seed + it)
+        // The ranking is only read when the sub-space is on; fANOVA draws
+        // from its own seed, so skipping it leaves the history unchanged.
+        if (settings.useSubspace)
+          subspace.maybeRefit(history.all.map(_.config),
+            history.all.map(o => math.log(o.objective.max(1e-9))), settings.seed + it)
       }
       it += 1
     }
@@ -190,10 +197,16 @@ final class OnlineTuner(sim: SparkClusterSim,
         Vector.fill(nGlob)(cs.sampleRandom(rng))
     }
 
+    // Both GPs see the same inputs; when they also select the same
+    // lengthscale, one kernel row per candidate serves both.
+    val shared = (objSurrogate eq gpObjLocal) && gpObjLocal.sharesKernel(gpRt)
     val scored = candidates.map { c =>
       val x = encode(c, nextDs)
-      val pObj = objSurrogate.predict(x)
-      val pRt = gpRt.predict(x)
+      val (pObj, pRt) =
+        if (shared) {
+          val kv = gpRt.kernelVector(x)
+          (gpObjLocal.predictAt(x, kv), gpRt.predictAt(x, kv))
+        } else (objSurrogate.predict(x), gpRt.predict(x))
       val res = sim.resource(c) // white-box resource (§4.3)
       (c, pObj, pRt, res)
     }

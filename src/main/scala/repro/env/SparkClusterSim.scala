@@ -186,11 +186,15 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
     needGB / execMemPerTask.max(1e-3) > 6.0
   }
 
+  private val instancesDim = cs.indexOf(SP.Instances)
+  private val coresDim = cs.indexOf(SP.ExecCores)
+  private val memoryDim = cs.indexOf(SP.ExecMemory)
+
   /** Resource function R(x) — white-box, analytic (§4.3). */
   def resource(c: Config): Double = {
-    val e = cs.value(c, SP.Instances)
-    val cc = cs.value(c, SP.ExecCores)
-    val m = cs.value(c, SP.ExecMemory)
+    val e = c(instancesDim)
+    val cc = c(coresDim)
+    val m = c(memoryDim)
     e * (cc + cMem * m)
   }
 

@@ -42,8 +42,37 @@ final case class Config(values: Vector[Double]) {
   * keep their index (kernels treat them through Hamming distance).
   */
 final class ConfigSpace(val params: Vector[Param]) extends Serializable {
+  import ConfigSpace._
   val dim: Int = params.size
   private val index: Map[String, Int] = params.map(_.name).zipWithIndex.toMap
+
+  // Per-dimension encoding constants, read by the hot encode/decode paths.
+  private val kind: Array[Int] = params.map {
+    case _: IntParam    => IntKind
+    case _: DoubleParam => DoubleKind
+    case _: CatParam    => CatKind
+  }.toArray
+  private val isLog: Array[Boolean] = params.map {
+    case p: IntParam    => p.log
+    case p: DoubleParam => p.log
+    case _: CatParam    => false
+  }.toArray
+  private val lo: Array[Double] = params.map {
+    case p: IntParam    => p.lo.toDouble
+    case p: DoubleParam => p.lo
+    case _: CatParam    => 0.0
+  }.toArray
+  private val hi: Array[Double] = params.map {
+    case p: IntParam    => p.hi.toDouble
+    case p: DoubleParam => p.hi
+    case p: CatParam    => (p.choices.size - 1).toDouble
+  }.toArray
+  private val logLo: Array[Double] = lo.map(math.log)
+  private val logSpan: Array[Double] = Array.tabulate(dim)(i => math.log(hi(i)) - math.log(lo(i)))
+  private val card: Array[Int] = params.map {
+    case CatParam(_, cs) => cs.size
+    case _               => 1
+  }.toArray
 
   /** Index of a parameter by its Spark name; throws if absent. */
   def indexOf(name: String): Int =
@@ -52,13 +81,10 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   def contains(name: String): Boolean = index.contains(name)
 
   /** True if dimension `i` is categorical (Hamming-kernel dimension). */
-  def isCat(i: Int): Boolean = params(i).isInstanceOf[CatParam]
+  def isCat(i: Int): Boolean = kind(i) == CatKind
 
   /** Number of categories of categorical dim `i` (1 for numeric dims). */
-  def cardinality(i: Int): Int = params(i) match {
-    case CatParam(_, cs) => cs.size
-    case _               => 1
-  }
+  def cardinality(i: Int): Int = card(i)
 
   /** Raw value of `name` in `c`. */
   def value(c: Config, name: String): Double = c(indexOf(name))
@@ -90,11 +116,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
     val out = new Array[Double](dim)
     var i = 0
     while (i < dim) {
-      out(i) = params(i) match {
-        case IntParam(_, lo, hi, log)    => unitOf(c(i), lo.toDouble, hi.toDouble, log)
-        case DoubleParam(_, lo, hi, log) => unitOf(c(i), lo, hi, log)
-        case CatParam(_, _)              => c(i)
-      }
+      out(i) = if (kind(i) == CatKind) c(i) else unitOf(i, c(i))
       i += 1
     }
     out
@@ -104,27 +126,25 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   def fromUnit(u: Array[Double]): Config = {
     require(u.length == dim, s"expected $dim dims, got ${u.length}")
     Config(Vector.tabulate(dim) { i =>
-      params(i) match {
-        case IntParam(_, lo, hi, log) =>
-          math.rint(rawOf(u(i), lo.toDouble, hi.toDouble, log)).max(lo.toDouble).min(hi.toDouble)
-        case DoubleParam(_, lo, hi, log) =>
-          rawOf(u(i), lo, hi, log).max(lo).min(hi)
-        case CatParam(_, cs) =>
+      kind(i) match {
+        case IntKind    => math.rint(rawOf(i, u(i))).max(lo(i)).min(hi(i))
+        case DoubleKind => rawOf(i, u(i)).max(lo(i)).min(hi(i))
+        case _ =>
           // A unit draw in [0,1) selects a category uniformly.
-          val v = if (u(i) >= 0.0 && u(i) < 1.0) math.floor(u(i) * cs.size) else math.rint(u(i))
-          v.max(0).min((cs.size - 1).toDouble)
+          val v = if (u(i) >= 0.0 && u(i) < 1.0) math.floor(u(i) * card(i)) else math.rint(u(i))
+          v.max(0).min(hi(i))
       }
     })
   }
 
-  private def unitOf(v: Double, lo: Double, hi: Double, log: Boolean): Double =
-    if (log) (math.log(v.max(lo)) - math.log(lo)) / (math.log(hi) - math.log(lo))
-    else ((v - lo) / (hi - lo)).max(0.0).min(1.0)
+  private def unitOf(i: Int, v: Double): Double =
+    if (isLog(i)) (math.log(v.max(lo(i))) - logLo(i)) / logSpan(i)
+    else ((v - lo(i)) / (hi(i) - lo(i))).max(0.0).min(1.0)
 
-  private def rawOf(u: Double, lo: Double, hi: Double, log: Boolean): Double = {
+  private def rawOf(i: Int, u: Double): Double = {
     val uc = u.max(0.0).min(1.0)
-    if (log) math.exp(math.log(lo) + uc * (math.log(hi) - math.log(lo)))
-    else lo + uc * (hi - lo)
+    if (isLog(i)) math.exp(logLo(i) + uc * logSpan(i))
+    else lo(i) + uc * (hi(i) - lo(i))
   }
 
   /** Uniform random configuration. */
@@ -193,6 +213,12 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
       if (!free.contains(i) && isCat(i)) anchor(i) else cfg(i)
     })
   }
+}
+
+private object ConfigSpace {
+  final val IntKind = 0
+  final val DoubleKind = 1
+  final val CatKind = 2
 }
 
 /** Low-discrepancy sequence generator (Halton; stands in for Sobol [67]). */

@@ -22,19 +22,28 @@ trait Surrogate extends Serializable {
   * grid by marginal likelihood — the paper's motivation for GPs is that
   * they are effectively hyperparameter-free, which this preserves.
   */
-final class Gp private (kernel: Kernel,
-                        xs: Array[Array[Double]],
+final class Gp private (private val kernel: Kernel,
+                        private val xs: Array[Array[Double]],
                         alpha: Array[Double],
                         chol: Array[Array[Double]],
                         yMean: Double, yStd: Double,
                         noise: Double) extends Surrogate {
 
   /** Predictive mean and variance at `x` (Eq. 2), on the original scale. */
-  def predict(x: Array[Double]): Pred = {
+  def predict(x: Array[Double]): Pred = predictAt(x, kernelVector(x))
+
+  /** k(X, x): the kernel between every training point and `x`. */
+  def kernelVector(x: Array[Double]): Array[Double] = {
     val n = xs.length
     val kv = new Array[Double](n)
     var i = 0
     while (i < n) { kv(i) = kernel(xs(i), x); i += 1 }
+    kv
+  }
+
+  /** [[predict]] at `x` given `kv = k(X, x)`, which may come from another
+    * GP's [[kernelVector]] when [[sharesKernel]] holds. `kv` is only read. */
+  def predictAt(x: Array[Double], kv: Array[Double]): Pred = {
     val muStd = Lin.dot(kv, alpha)
     val v = Lin.solveLower(chol, kv)
     val varStd = (kernel(x, x) + noise - Lin.dot(v, v)).max(1e-12)
@@ -42,6 +51,10 @@ final class Gp private (kernel: Kernel,
   }
 
   def n: Int = xs.length
+
+  /** True when `o` holds the same training-array and kernel instances, so
+    * its [[kernelVector]] at any point equals this GP's. */
+  def sharesKernel(o: Gp): Boolean = (xs eq o.xs) && (kernel eq o.kernel)
 }
 
 object Gp {

@@ -50,15 +50,17 @@ final class SqExp(dims: Array[Int], lengthscale: Double) extends Kernel {
   */
 final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
   require(lengthscale > 0)
+  /** exp(−mis/ℓ) for every mismatch count 0..dims.length. */
+  private[surrogate] val byMismatch: Array[Double] =
+    Array.tabulate(dims.length + 1)(mis => math.exp(-mis / lengthscale))
   def apply(x: Array[Double], y: Array[Double]): Double = {
-    if (dims.isEmpty) return 1.0
     var mis = 0
     var i = 0
     while (i < dims.length) {
       if (math.rint(x(dims(i))) != math.rint(y(dims(i)))) mis += 1
       i += 1
     }
-    math.exp(-mis / lengthscale)
+    byMismatch(mis)
   }
 }
 
@@ -67,10 +69,11 @@ final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
   * × SE (data size). Eq. 4.
   */
 final class MixedKernel(components: Vector[Kernel], amplitude: Double = 1.0) extends Kernel {
+  private val parts: Array[Kernel] = components.toArray
   def apply(x: Array[Double], y: Array[Double]): Double = {
     var k = amplitude
     var i = 0
-    while (i < components.size) { k *= components(i)(x, y); i += 1 }
+    while (i < parts.length) { k *= parts(i)(x, y); i += 1 }
     k
   }
 }

@@ -44,6 +44,25 @@ class OnlineTunerSpec extends AnyFunSuite {
     assert(run(7) == run(7))
   }
 
+  test("golden history: 30-iteration TeraSort sessions hash to recorded digests") {
+    // SHA-256 over the raw bits of every config value and objective, in
+    // history order. A change that alters any suggestion changes the digest.
+    def digest(beta: Double): String = {
+      val obj = Objective(beta).withConstraintsFrom(manualRt, sim.resource(manual))
+      val out = new OnlineTuner(sim, obj, TunerSettings(seed = 12), Vector(manual)).tune(30)
+      assert(out.history.size == 30)
+      val buf = java.nio.ByteBuffer.allocate(out.history.all.map(_.config.values.size + 1).sum * 8)
+      out.history.all.foreach { o =>
+        o.config.values.foreach(v => buf.putLong(java.lang.Double.doubleToRawLongBits(v)))
+        buf.putLong(java.lang.Double.doubleToRawLongBits(o.objective))
+      }
+      java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
+        .map(b => f"${b & 0xff}%02x").mkString
+    }
+    assert(digest(1.0) == "408f3091c518823ab2ec96457bd3d48e944d58b643a0503071cdfc56128857fb")
+    assert(digest(0.5) == "26adb75358e73a4c732512b57c2d87a59d9ce2a3962afa74d39760b877dbbce2")
+  }
+
   test("safety on yields at least as many feasible trials as safety off") {
     def feasibleCount(safety: Boolean) = (0 until 3).map { s =>
       val settings = TunerSettings(seed = 50 + s, useSafety = safety)

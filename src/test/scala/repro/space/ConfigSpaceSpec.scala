@@ -63,6 +63,54 @@ class ConfigSpaceSpec extends AnyFunSuite {
     }
   }
 
+  // The encoding formulas, written out per parameter as the reference for
+  // the precomputed per-dimension constants.
+  private def refToUnit(sp: ConfigSpace, c: Config): Array[Double] = {
+    def unit(v: Double, lo: Double, hi: Double, log: Boolean) =
+      if (log) (math.log(v.max(lo)) - math.log(lo)) / (math.log(hi) - math.log(lo))
+      else ((v - lo) / (hi - lo)).max(0.0).min(1.0)
+    Array.tabulate(sp.dim) { i =>
+      sp.params(i) match {
+        case IntParam(_, lo, hi, log)    => unit(c(i), lo.toDouble, hi.toDouble, log)
+        case DoubleParam(_, lo, hi, log) => unit(c(i), lo, hi, log)
+        case CatParam(_, _)              => c(i)
+      }
+    }
+  }
+
+  private def refFromUnit(sp: ConfigSpace, u: Array[Double]): Config = {
+    def raw(u: Double, lo: Double, hi: Double, log: Boolean) = {
+      val uc = u.max(0.0).min(1.0)
+      if (log) math.exp(math.log(lo) + uc * (math.log(hi) - math.log(lo)))
+      else lo + uc * (hi - lo)
+    }
+    Config(Vector.tabulate(sp.dim) { i =>
+      sp.params(i) match {
+        case IntParam(_, lo, hi, log) =>
+          math.rint(raw(u(i), lo.toDouble, hi.toDouble, log)).max(lo.toDouble).min(hi.toDouble)
+        case DoubleParam(_, lo, hi, log) => raw(u(i), lo, hi, log).max(lo).min(hi)
+        case CatParam(_, cs) =>
+          val v = if (u(i) >= 0.0 && u(i) < 1.0) math.floor(u(i) * cs.size) else math.rint(u(i))
+          v.max(0).min((cs.size - 1).toDouble)
+      }
+    })
+  }
+
+  test("toUnit/fromUnit equal the per-parameter formulas to the bit") {
+    val r = new Random(21)
+    def bits(a: Seq[Double]) = a.map(java.lang.Double.doubleToRawLongBits)
+    for (sp <- Seq(repro.env.FleetGen.prodSpace, repro.env.FleetGen.hibenchSpace); _ <- 0 until 300) {
+      val c = sp.sampleRandom(r)
+      assert(bits(sp.toUnit(c).toSeq) == bits(refToUnit(sp, c).toSeq))
+      // Unit draws plus values outside [0,1) exercise clamping and raw
+      // categorical indices.
+      val u = Array.fill(sp.dim)(r.nextDouble() * 3.0 - 1.0)
+      assert(bits(sp.fromUnit(u).values) == bits(refFromUnit(sp, u).values))
+      val v = Array.fill(sp.dim)(r.nextDouble())
+      assert(bits(sp.fromUnit(v).values) == bits(refFromUnit(sp, v).values))
+    }
+  }
+
   test("fromUnit rejects wrong dimension") {
     assertThrows[IllegalArgumentException](cs.fromUnit(Array(0.5)))
   }

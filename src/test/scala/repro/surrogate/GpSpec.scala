@@ -93,6 +93,29 @@ class GpSpec extends AnyFunSuite {
     assert(me.normalizedWeights.forall(w => math.abs(w - 0.5) < 1e-12))
   }
 
+  test("a shared kernel row gives the same prediction as predict") {
+    val r = new Random(3)
+    val xs = Array.fill(12)(Array(r.nextDouble(), r.nextDouble()))
+    val k = new Matern52(Array(0, 1), 0.4)
+    val a = Gp.fit(xs, xs.map(x => math.sin(5 * x(0)) + x(1)), _ => k, lsGrid = Seq(1.0))
+    val b = Gp.fit(xs, xs.map(x => x(0) * x(1)), _ => k, lsGrid = Seq(1.0))
+    assert(a.sharesKernel(b) && b.sharesKernel(a))
+    (0 until 20).foreach { _ =>
+      val x = Array(r.nextDouble(), r.nextDouble())
+      assert(a.predictAt(x, b.kernelVector(x)) == a.predict(x))
+      assert(b.predictAt(x, a.kernelVector(x)) == b.predict(x))
+    }
+  }
+
+  test("sharesKernel is false for another kernel or training array") {
+    val xs = Array(Array(0.1), Array(0.5), Array(0.9))
+    val ys = Array(1.0, 2.0, 0.5)
+    val k = new Matern52(Array(0), 0.5)
+    val gp = Gp.fit(xs, ys, _ => k, lsGrid = Seq(1.0))
+    assert(!gp.sharesKernel(Gp.fit(xs, ys, _ => new Matern52(Array(0), 0.5), lsGrid = Seq(1.0))))
+    assert(!gp.sharesKernel(Gp.fit(xs.map(_.clone()), ys, _ => k, lsGrid = Seq(1.0))))
+  }
+
   test("Pred.sigma is sqrt of variance, floored") {
     assert(Pred(0.0, 4.0).sigma == 2.0)
     assert(Pred(0.0, -1.0).sigma > 0)

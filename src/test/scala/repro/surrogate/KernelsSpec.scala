@@ -45,6 +45,14 @@ class KernelsSpec extends AnyFunSuite {
     assert(math.abs(k(Array(0.0, 1.0), Array(1.0, 2.0)) - math.exp(-2.0)) < 1e-12)
   }
 
+  test("Hamming table holds exp(-mis/ℓ) for every mismatch count") {
+    for (n <- 0 to 7; ls <- Seq(0.5, 1.0, 2.0, 0.3)) {
+      val k = new Hamming(Array.range(0, n), ls)
+      assert(k.byMismatch.length == n + 1)
+      (0 to n).foreach(mis => assert(k.byMismatch(mis) == math.exp(-mis / ls), s"n=$n ls=$ls mis=$mis"))
+    }
+  }
+
   test("MixedKernel multiplies components and amplitude") {
     val k = new MixedKernel(Vector(new SqExp(Array(0), 1.0)), amplitude = 2.0)
     assert(math.abs(k(Array(0.0), Array(0.0)) - 2.0) < 1e-12)

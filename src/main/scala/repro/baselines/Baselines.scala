@@ -38,17 +38,19 @@ private object BaselineUtil {
     h.all.map(o => cs.toUnit(o.config)).toArray
 
   /** Simple generational GA over unit space searching `fitness` (lower is
-    * better) — the search engine of RFHOC [7] and DAC [79]. */
+    * better) — the search engine of RFHOC [7] and DAC [79]. `fitness` must
+    * be pure: each config is scored once, and elites carry their score into
+    * the next generation and the final pick. */
   def gaSearch(cs: ConfigSpace, seedPop: Vector[Config], fitness: Config => Double,
                rng: Random, generations: Int = 8, popSize: Int = 40): Config = {
-    var pop = (seedPop ++ cs.sampleRandom(rng, popSize)).take(popSize)
+    def score(configs: Vector[Config]) = configs.map(c => (c, fitness(c)))
+    var pop = score((seedPop ++ cs.sampleRandom(rng, popSize)).take(popSize))
     var g = 0
     while (g < generations) {
-      val scored = pop.map(c => (c, fitness(c))).sortBy(_._2)
-      val elite = scored.take(popSize / 4).map(_._1)
+      val elite = pop.sortBy(_._2).take(popSize / 4)
       val children = Vector.fill(popSize - elite.size) {
-        val a = cs.toUnit(elite(rng.nextInt(elite.size)))
-        val b = cs.toUnit(elite(rng.nextInt(elite.size)))
+        val a = cs.toUnit(elite(rng.nextInt(elite.size))._1)
+        val b = cs.toUnit(elite(rng.nextInt(elite.size))._1)
         val x = Array.tabulate(cs.dim)(i => if (rng.nextBoolean()) a(i) else b(i))
         // Mutation.
         var i = 0
@@ -60,10 +62,10 @@ private object BaselineUtil {
         }
         cs.fromUnit(x)
       }
-      pop = elite ++ children
+      pop = elite ++ score(children)
       g += 1
     }
-    pop.minBy(fitness)
+    pop.minBy(_._2)._1
   }
 }
 
@@ -181,7 +183,7 @@ final class Locat(explore: Int = 10, subspaceSize: Int = 8) extends BaselineTune
     val h = new RunHistory
     var free: Set[Int] = (0 until cs.dim).toSet
     def enc(c: Config, ds: Double): Array[Double] =
-      cs.toUnit(c) :+ (ds / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
+      cs.toUnit(c) :+ sim.spec.dataSizeUnit(ds)
     val inits = init ++ cs.sampleLowDiscrepancy(3, seed + 1)
     var it = 0
     while (it < budget) {
@@ -252,7 +254,7 @@ final class Dac extends BaselineTuner {
     val rng = new Random(seed)
     val h = new RunHistory
     def enc(c: Config, ds: Double): Array[Double] =
-      cs.toUnit(c) :+ (ds / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
+      cs.toUnit(c) :+ sim.spec.dataSizeUnit(ds)
     var it = 0
     while (it < budget) {
       val nextDs = sim.spec.dataSizeAt(it)

@@ -55,7 +55,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     * datasize-aware surrogate is enabled (§3.3 Dynamic Workload Support). */
   private def encode(c: Config, dsGB: Double): Array[Double] = {
     val u = cs.toUnit(c)
-    if (settings.useDataSize) u :+ (dsGB / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
+    if (settings.useDataSize) u :+ sim.spec.dataSizeUnit(dsGB)
     else u
   }
 
@@ -160,7 +160,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     val best = history.best.getOrElse(obs.minBy(_.objective))
     val yBestLog = math.log(best.objective.max(1e-9))
     val dsExtra = if (settings.useDataSize)
-      Array((nextDs / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)) else Array.empty[Double]
+      Array(sim.spec.dataSizeUnit(nextDs)) else Array.empty[Double]
 
     // --- AGD branch (every N_AGD iterations; Algorithm 2 lines 2–4) -----
     if (settings.useAgd && (obs.size + 1) % settings.nAgd == 0) {

@@ -48,4 +48,8 @@ final case class WorkloadSpec(
     val jitter = 1.0 + 0.03 * rng.nextGaussian()
     (inputGB * drift * jitter).max(inputGB * 0.2)
   }
+
+  /** Data size `dsGB` as a model input in [0, 1]: twice the nominal input
+    * maps to 1 (§3.3 Dynamic Workload Support). */
+  def dataSizeUnit(dsGB: Double): Double = (dsGB / (2.0 * inputGB)).min(1.0).max(0.0)
 }

@@ -4,7 +4,7 @@ import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Objective
 import repro.env.{FleetGen, SparkClusterSim, Workloads}
-import repro.space.{SparkParams => SP}
+import repro.space.{Config, ConfigSpace, SparkParams => SP}
 
 class BaselinesSpec extends AnyFunSuite {
   private val cs = FleetGen.hibenchSpace
@@ -57,6 +57,44 @@ class BaselinesSpec extends AnyFunSuite {
     assert(fitness(best) < seedPop.map(fitness).min)
   }
 
+  test("GA search scores each config once and returns the reference GA's pick") {
+    val target = cs.toUnit(FleetGen.manualConfig(cs, 16, 4, 8))
+    // Rounded so that many configs tie: the stable sort and minBy's
+    // first-minimum rule decide between them.
+    def fitness(c: Config): Double =
+      math.round(10 * cs.toUnit(c).zip(target).map { case (a, b) => (a - b) * (a - b) }.sum) / 10.0
+    (0 until 8).foreach { seed =>
+      val seedPop = cs.sampleRandom(new Random(seed + 100), 5)
+      var calls = 0
+      val got = BaselineUtilProbe.ga(cs, seedPop, c => { calls += 1; fitness(c) }, new Random(seed))
+      assert(calls == 280, s"seed $seed")
+      val want = BaselinesSpec.referenceGa(cs, seedPop, fitness, new Random(seed))
+      assert(got == want, s"seed $seed")
+    }
+  }
+
+  test("golden histories: RFHOC and DAC on TeraSort hash to recorded digests") {
+    // SHA-256 over the raw bits of every config value and objective of a
+    // 30-iteration session, in history order, as in OnlineTunerSpec.
+    val tsim = new SparkClusterSim(Workloads.TeraSort, cs)
+    val tRt = tsim.expectedRuntime(default, Workloads.TeraSort.inputGB)
+    def digest(b: BaselineTuner, beta: Double): String = {
+      val h = b.tune(tsim, Objective(beta, tMax = 2.0 * tRt), 30, 13, Vector(default))
+      assert(h.size == 30)
+      val buf = java.nio.ByteBuffer.allocate(h.all.map(_.config.values.size + 1).sum * 8)
+      h.all.foreach { o =>
+        o.config.values.foreach(v => buf.putLong(java.lang.Double.doubleToRawLongBits(v)))
+        buf.putLong(java.lang.Double.doubleToRawLongBits(o.objective))
+      }
+      java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
+        .map(x => f"${x & 0xff}%02x").mkString
+    }
+    assert(digest(new Rfhoc, 1.0) == "2d25837249c9822f41ecf0a96038948db1ef5c0395ceed0f56d9125f92b56a54")
+    assert(digest(new Rfhoc, 0.5) == "946f9998a8dcc6b05aeca1407fffb53769f6e3a817b7942626404ed15e7dabcc")
+    assert(digest(new Dac, 1.0) == "6d885b55411bae5803300b84be054f485ea6e489b997aa8c200e312d8c0ac7ec")
+    assert(digest(new Dac, 0.5) == "e08c4f68719bdab902d7783029efd40c8513082fa5db7388e729d991d85178fa")
+  }
+
   test("BO-based baselines beat random search on average (seeded smoke)") {
     def bestOf(b: BaselineTuner, seeds: Seq[Long]): Double =
       seeds.map(s => b.tune(sim, obj, 15, s, Vector(default)).bestObjective).sum / seeds.size
@@ -66,6 +104,37 @@ class BaselinesSpec extends AnyFunSuite {
     val rs = bestOf(new RandomSearch, seeds)
     val ours = bestOf(new Ours, seeds)
     assert(ours <= rs * 1.15)
+  }
+}
+
+object BaselinesSpec {
+  /** `BaselineUtil.gaSearch` as it was before fitness was memoised: every
+    * generation rescores its whole population, and the final pick scores it
+    * again. Kept as the reference for the memoised GA. */
+  def referenceGa(cs: ConfigSpace, seedPop: Vector[Config], fitness: Config => Double,
+                  rng: Random, generations: Int = 8, popSize: Int = 40): Config = {
+    var pop = (seedPop ++ cs.sampleRandom(rng, popSize)).take(popSize)
+    var g = 0
+    while (g < generations) {
+      val scored = pop.map(c => (c, fitness(c))).sortBy(_._2)
+      val elite = scored.take(popSize / 4).map(_._1)
+      val children = Vector.fill(popSize - elite.size) {
+        val a = cs.toUnit(elite(rng.nextInt(elite.size)))
+        val b = cs.toUnit(elite(rng.nextInt(elite.size)))
+        val x = Array.tabulate(cs.dim)(i => if (rng.nextBoolean()) a(i) else b(i))
+        var i = 0
+        while (i < cs.dim) {
+          if (rng.nextDouble() < 0.15)
+            x(i) = if (cs.isCat(i)) rng.nextInt(cs.cardinality(i)).toDouble
+                   else (x(i) + rng.nextGaussian() * 0.15).max(0.0).min(1.0)
+          i += 1
+        }
+        cs.fromUnit(x)
+      }
+      pop = elite ++ children
+      g += 1
+    }
+    pop.minBy(fitness)
   }
 }
 

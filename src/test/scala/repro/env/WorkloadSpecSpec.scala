@@ -20,6 +20,16 @@ class WorkloadSpecSpec extends AnyFunSuite {
     (0 until 100).foreach(i => assert(s.dataSizeAt(i) >= s.inputGB * 0.2))
   }
 
+  test("dataSizeUnit maps twice the nominal input to 1 and clamps to [0, 1]") {
+    val s = Workloads.TeraSort
+    assert(s.dataSizeUnit(s.inputGB) == 0.5)
+    assert(s.dataSizeUnit(3 * s.inputGB) == 1.0 && s.dataSizeUnit(-1.0) == 0.0)
+    (0 until 48).foreach { i =>
+      val ds = s.dataSizeAt(i)
+      assert(s.dataSizeUnit(ds) == (ds / (2.0 * s.inputGB)).min(1.0).max(0.0))
+    }
+  }
+
   test("the six §6.1 tasks are a subset of the sixteen meta-learning tasks") {
     val names16 = Workloads.sixteen.map(_.name).toSet
     Workloads.six.foreach(s => assert(names16.contains(s.name)))

@@ -10,6 +10,8 @@ import repro.space.{Config, ConfigSpace}
   * TuRBO-style size controller: τ_succ=3 consecutive improvements grow the
   * sub-space by 2 (up to K_max), τ_fail=5 consecutive non-improvements
   * shrink it by 2 (down to K_min=4); counters reset on every resize.
+  * `freeze` instead fixes the sub-space for good (Tuneful/LOCAT's prune
+  * once after exploring, §6.3).
   */
 final class Subspace(cs: ConfigSpace,
                      expertRanking: Vector[String],
@@ -18,7 +20,8 @@ final class Subspace(cs: ConfigSpace,
                      refitEvery: Int = 5, minHistoryForFanova: Int = 8) {
 
   private val kMax: Int = cs.dim
-  private var k: Int = kInit.min(kMax).max(kMin)
+  private val kStart: Int = kInit.min(kMax).max(kMin)
+  private var k: Int = kStart
   private var succ = 0
   private var fail = 0
   // Running importance scores, seeded from the expert prior (§4.1). Each
@@ -36,6 +39,7 @@ final class Subspace(cs: ConfigSpace,
   private var ranking: Vector[Int] =
     scores.zipWithIndex.sortBy(-_._1).map(_._2).toVector
   private var sinceRefit = 0
+  private var frozen = false
 
   def size: Int = k
 
@@ -46,7 +50,7 @@ final class Subspace(cs: ConfigSpace,
 
   /** Record the outcome of an evaluated configuration: `improved` is
     * whether it beat the incumbent ("success"/"failure", §4.1). */
-  def observe(improved: Boolean): Unit = {
+  def observe(improved: Boolean): Unit = if (!frozen) {
     if (improved) { succ += 1; fail = 0 } else { fail += 1; succ = 0 }
     if (succ >= tauSucc) { k = (k + 2).min(kMax); succ = 0; fail = 0 }
     else if (fail >= tauFail) { k = (k - 2).max(kMin); succ = 0; fail = 0 }
@@ -55,11 +59,11 @@ final class Subspace(cs: ConfigSpace,
   /** Periodically refresh the ranking from tuning history via fANOVA
     * ("once new tuning history arrives, we continuously update the
     * importance score"). */
-  def maybeRefit(configs: Seq[Config], ys: Seq[Double], seed: Long = 0L): Unit = {
+  def maybeRefit(configs: Seq[Config], ys: Seq[Double], seed: Long = 0L): Unit = if (!frozen) {
     sinceRefit += 1
     if (configs.size >= minHistoryForFanova && sinceRefit >= refitEvery) {
       sinceRefit = 0
-      val res = FAnova.importance(cs, configs, ys, nMc = 120, nGrid = 6, seed = seed)
+      val res = fanova(configs, ys, seed)
       // Normalize the fANOVA scores to the running-score scale and blend.
       val mx = res.single.max
       if (mx > 1e-12) {
@@ -72,4 +76,16 @@ final class Subspace(cs: ConfigSpace,
       }
     }
   }
+
+  /** Fix the sub-space to the top-`kInit` parameters of one fANOVA fit on
+    * the history (the expert prior and earlier refits are dropped); later
+    * `observe` and `maybeRefit` calls leave it as it is. */
+  def freeze(configs: Seq[Config], ys: Seq[Double], seed: Long): Unit = {
+    ranking = fanova(configs, ys, seed).ranking
+    k = kStart
+    frozen = true
+  }
+
+  private def fanova(configs: Seq[Config], ys: Seq[Double], seed: Long): FAnova.Result =
+    FAnova.importance(cs, configs, ys, nMc = 120, nGrid = 6, seed = seed)
 }

@@ -11,7 +11,19 @@ import repro.surrogate.{Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
   *
   * Defaults are the paper's (§4: τ_succ=3, τ_fail=5, K_min=4, K_init=10,
   * N_AGD=5, η=0.001; §4.2: γ; §3.3: low-discrepancy init, EI-based stop).
-  * Baselines and ablations are expressed by flipping the `use*` flags.
+  * Baselines and ablations are expressed by flipping the `use*` flags:
+  * the BO baselines of §6.3 (CherryPick, Tuneful, LOCAT) are presets of
+  * this loop (`repro.baselines.Baselines`), Tuneful/LOCAT also setting
+  * `freezeSubspaceAt`, `kInit` and `nCandidates`.
+  *
+  * @param useLocalMoves    half of the candidates are TuRBO-style local
+  *                         moves around the incumbents; when off, that
+  *                         share is drawn uniformly in the sub-space too
+  * @param freezeSubspaceAt when > 0, the sub-space is all dimensions until
+  *                         this iteration, then fixed to the top-`kInit`
+  *                         parameters of one fANOVA fit on the history so
+  *                         far and never resized or refit (Tuneful/LOCAT:
+  *                         explore first, then prune for good)
   */
 final case class TunerSettings(
     nInit: Int = 3,
@@ -21,10 +33,12 @@ final case class TunerSettings(
     useSubspace: Boolean = true,
     useAgd: Boolean = true,
     useDataSize: Boolean = true,
+    useLocalMoves: Boolean = true,
     gamma: Double = 0.7,
     nAgd: Int = 5,
     agdEta: Double = 0.001,
     kInit: Int = 10, kMin: Int = 4, tauSucc: Int = 3, tauFail: Int = 5,
+    freezeSubspaceAt: Int = 0,
     stopEi: Double = 0.0,            // >0 enables the §3.3 stopping criterion
     seed: Long = 0L)
 
@@ -106,8 +120,12 @@ final class OnlineTuner(sim: SparkClusterSim,
     }
     var stoppedAt: Option[Int] = None
 
+    def logYs = history.all.map(o => math.log(o.objective.max(1e-9)))
+
     var it = 0
     while (it < budget && stoppedAt.isEmpty) {
+      if (settings.useSubspace && settings.freezeSubspaceAt > 0 && it == settings.freezeSubspaceAt)
+        subspace.freeze(history.all.map(_.config), logYs, settings.seed + it)
       val globalIter = startIter + it
       val nextDs = sim.spec.dataSizeAt(globalIter)
       val config: Config =
@@ -127,11 +145,11 @@ final class OnlineTuner(sim: SparkClusterSim,
         // streak counters only track the BO acquisitions (§4.1).
         val wasAgd = settings.useAgd && (history.size % settings.nAgd == 0)
         if (!wasAgd && it >= initConfigs.size) subspace.observe(improved)
-        // The ranking is only read when the sub-space is on; fANOVA draws
-        // from its own seed, so skipping it leaves the history unchanged.
-        if (settings.useSubspace)
-          subspace.maybeRefit(history.all.map(_.config),
-            history.all.map(o => math.log(o.objective.max(1e-9))), settings.seed + it)
+        // The ranking is only read when the sub-space is on, and a frozen
+        // sub-space replaces it wholesale; fANOVA draws from its own seed,
+        // so skipping it leaves the history unchanged.
+        if (settings.useSubspace && settings.freezeSubspaceAt == 0)
+          subspace.maybeRefit(history.all.map(_.config), logYs, settings.seed + it)
       }
       it += 1
     }
@@ -148,7 +166,9 @@ final class OnlineTuner(sim: SparkClusterSim,
     val yRt = obs.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray
 
     val gpObjLocal = fitGp(xs, yObj)
-    val gpRt = fitGp(xs, yRt)
+    // Fit only when read: by AGD, or by the safe region or EIC under a
+    // finite T_max. Gp.fit draws no randomness, so skipping it is exact.
+    lazy val gpRt = fitGp(xs, yRt)
     val objSurrogate: Surrogate =
       if (metaBases.isEmpty) gpObjLocal
       else {
@@ -184,13 +204,14 @@ final class OnlineTuner(sim: SparkClusterSim,
     }
     def anchorAt(i: Int): Config = anchors(i % anchors.size)
     val free: Set[Int] =
-      if (settings.useSubspace) subspace.freeDims else (0 until cs.dim).toSet
+      if (settings.useSubspace && it >= settings.freezeSubspaceAt) subspace.freeDims
+      else (0 until cs.dim).toSet
     val candidates: Vector[Config] = {
       // TuRBO-style mixture inside the sub-space: uniform coverage of the
       // free dims plus local moves around the incumbents, with a small
       // global-restart stream.
-      val nSub = (settings.nCandidates * 0.4).toInt
-      val nLoc = (settings.nCandidates * 0.5).toInt
+      val nLoc = if (settings.useLocalMoves) (settings.nCandidates * 0.5).toInt else 0
+      val nSub = (settings.nCandidates * 0.4).toInt + (settings.nCandidates * 0.5).toInt - nLoc
       val nGlob = settings.nCandidates - nSub - nLoc
       Vector.tabulate(nSub)(i => cs.sampleInSubspace(anchorAt(i), free, rng)) ++
         Vector.tabulate(nLoc)(i => cs.perturbInSubspace(anchorAt(i), free, rng, sigma = 0.15)) ++
@@ -198,15 +219,20 @@ final class OnlineTuner(sim: SparkClusterSim,
     }
 
     // Both GPs see the same inputs; when they also select the same
-    // lengthscale, one kernel row per candidate serves both.
-    val shared = (objSurrogate eq gpObjLocal) && gpObjLocal.sharesKernel(gpRt)
+    // lengthscale, one kernel row per candidate serves both. Without a
+    // reader of the runtime prediction, its slot holds the objective's.
+    val readsRt = (settings.useSafety || settings.useEic) && !objective.tMax.isPosInfinity
+    val shared = readsRt && (objSurrogate eq gpObjLocal) && gpObjLocal.sharesKernel(gpRt)
     val scored = candidates.map { c =>
       val x = encode(c, nextDs)
       val (pObj, pRt) =
         if (shared) {
           val kv = gpRt.kernelVector(x)
           (gpObjLocal.predictAt(x, kv), gpRt.predictAt(x, kv))
-        } else (objSurrogate.predict(x), gpRt.predict(x))
+        } else {
+          val p = objSurrogate.predict(x)
+          (p, if (readsRt) gpRt.predict(x) else p)
+        }
       val res = sim.resource(c) // white-box resource (§4.3)
       (c, pObj, pRt, res)
     }

@@ -41,10 +41,13 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  private def byName(name: String): BaselineTuner = Baselines.all.find(_.name == name).get
+
   test("baselines are deterministic in their seed") {
-    val t = new Tuneful
-    def run(seed: Long) = t.tune(sim, obj, 8, seed, Vector(default)).all.map(_.objective)
-    assert(run(11) == run(11))
+    Baselines.all.foreach { b =>
+      def run(seed: Long) = b.tune(sim, obj, 12, seed, Vector(default)).all.map(_.objective)
+      assert(run(11) == run(11), b.name)
+    }
   }
 
   test("GA search improves the fitness over its seed population") {
@@ -73,26 +76,36 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
-  test("golden histories: RFHOC and DAC on TeraSort hash to recorded digests") {
-    // SHA-256 over the raw bits of every config value and objective of a
-    // 30-iteration session, in history order, as in OnlineTunerSpec.
+  // SHA-256 over the raw bits of every config value and objective of a
+  // 30-iteration TeraSort session, in history order, as in OnlineTunerSpec.
+  private def digest(name: String, beta: Double): String = {
     val tsim = new SparkClusterSim(Workloads.TeraSort, cs)
     val tRt = tsim.expectedRuntime(default, Workloads.TeraSort.inputGB)
-    def digest(b: BaselineTuner, beta: Double): String = {
-      val h = b.tune(tsim, Objective(beta, tMax = 2.0 * tRt), 30, 13, Vector(default))
-      assert(h.size == 30)
-      val buf = java.nio.ByteBuffer.allocate(h.all.map(_.config.values.size + 1).sum * 8)
-      h.all.foreach { o =>
-        o.config.values.foreach(v => buf.putLong(java.lang.Double.doubleToRawLongBits(v)))
-        buf.putLong(java.lang.Double.doubleToRawLongBits(o.objective))
-      }
-      java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
-        .map(x => f"${x & 0xff}%02x").mkString
+    val h = byName(name).tune(tsim, Objective(beta, tMax = 2.0 * tRt), 30, 13, Vector(default))
+    assert(h.size == 30)
+    val buf = java.nio.ByteBuffer.allocate(h.all.map(_.config.values.size + 1).sum * 8)
+    h.all.foreach { o =>
+      o.config.values.foreach(v => buf.putLong(java.lang.Double.doubleToRawLongBits(v)))
+      buf.putLong(java.lang.Double.doubleToRawLongBits(o.objective))
     }
-    assert(digest(new Rfhoc, 1.0) == "2d25837249c9822f41ecf0a96038948db1ef5c0395ceed0f56d9125f92b56a54")
-    assert(digest(new Rfhoc, 0.5) == "946f9998a8dcc6b05aeca1407fffb53769f6e3a817b7942626404ed15e7dabcc")
-    assert(digest(new Dac, 1.0) == "6d885b55411bae5803300b84be054f485ea6e489b997aa8c200e312d8c0ac7ec")
-    assert(digest(new Dac, 0.5) == "e08c4f68719bdab902d7783029efd40c8513082fa5db7388e729d991d85178fa")
+    java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
+      .map(x => f"${x & 0xff}%02x").mkString
+  }
+
+  test("golden histories: RFHOC and DAC on TeraSort hash to recorded digests") {
+    assert(digest("RFHOC", 1.0) == "2d25837249c9822f41ecf0a96038948db1ef5c0395ceed0f56d9125f92b56a54")
+    assert(digest("RFHOC", 0.5) == "946f9998a8dcc6b05aeca1407fffb53769f6e3a817b7942626404ed15e7dabcc")
+    assert(digest("DAC", 1.0) == "6d885b55411bae5803300b84be054f485ea6e489b997aa8c200e312d8c0ac7ec")
+    assert(digest("DAC", 0.5) == "e08c4f68719bdab902d7783029efd40c8513082fa5db7388e729d991d85178fa")
+  }
+
+  test("golden histories: CherryPick, Tuneful and LOCAT presets on TeraSort hash to recorded digests") {
+    assert(digest("CherryPick", 1.0) == "ba251c414caa354b2caed5219ad45230e52168b0bfc7156278e1753026427a2f")
+    assert(digest("CherryPick", 0.5) == "cc7b7f4f7307b213bf41130544ba1d982072f3298787d851aadada070fc4200c")
+    assert(digest("Tuneful", 1.0) == "7555d5baaa2c51b8d00cff227c5252f0f121d27914a5bf6c9949be0e66f6d9fb")
+    assert(digest("Tuneful", 0.5) == "828604336539ae1fc6df52ad63f2b4fae679ff596c37ea74bda90b8d51e9747c")
+    assert(digest("LOCAT", 1.0) == "c1934377f49751cc51f6f04da6af66a07c7b984bab67fca0f58ece55f8dd3a64")
+    assert(digest("LOCAT", 0.5) == "91d716f2909cdb11eb165295c6364539e4069fbac04b7f62421f6f9c90d9f026")
   }
 
   test("BO-based baselines beat random search on average (seeded smoke)") {
@@ -102,8 +115,11 @@ class BaselinesSpec extends AnyFunSuite {
     // comparison with 30 iters × 6 tasks is BenchFigure45.
     val seeds = Seq(1L, 2L, 3L)
     val rs = bestOf(new RandomSearch, seeds)
-    val ours = bestOf(new Ours, seeds)
-    assert(ours <= rs * 1.15)
+    Seq("CherryPick", "Tuneful", "LOCAT", "Ours").foreach { m =>
+      val bo = bestOf(byName(m), seeds)
+      info(f"$m: ${bo / rs}%.3f of random search")
+      assert(bo <= rs * 1.15, m)
+    }
   }
 }
 

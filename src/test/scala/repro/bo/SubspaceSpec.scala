@@ -2,6 +2,7 @@ package repro.bo
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.importance.FAnova
 import repro.space.SparkParams
 
 class SubspaceSpec extends AnyFunSuite {
@@ -73,5 +74,24 @@ class SubspaceSpec extends AnyFunSuite {
     val before = s.currentRanking
     s.maybeRefit(Vector.empty, Vector.empty, 0)
     assert(s.currentRanking == before)
+  }
+
+  test("freeze fixes the fANOVA top-K_init: no expert prior, no resize, no refit") {
+    val s = new Subspace(cs, SparkParams.ExpertRanking, kInit = 8, refitEvery = 1)
+    val rng = new Random(4)
+    val iMem = cs.indexOf(SparkParams.ExecMemory)
+    val configs = Vector.fill(12)(cs.sampleRandom(rng))
+    val ys = configs.map(c => cs.toUnit(c)(iMem) * 10.0 + rng.nextDouble())
+    (1 to 3).foreach(_ => s.observe(improved = true)) // resized before the freeze
+    s.freeze(configs, ys, seed = 7)
+    val ranking = FAnova.importance(cs, configs, ys, nMc = 120, nGrid = 6, seed = 7).ranking
+    assert(s.currentRanking == ranking)
+    assert(s.size == 8)
+    assert(s.freeDims == ranking.take(8).toSet)
+    (1 to 10).foreach(_ => s.observe(improved = true))
+    (1 to 10).foreach(_ => s.observe(improved = false))
+    s.maybeRefit(configs.reverse, ys.reverse.map(-_), seed = 8)
+    assert(s.size == 8)
+    assert(s.currentRanking == ranking)
   }
 }

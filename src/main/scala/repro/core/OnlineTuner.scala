@@ -69,17 +69,16 @@ final class OnlineTuner(sim: SparkClusterSim,
     * datasize-aware surrogate is enabled (§3.3 Dynamic Workload Support). */
   private def encode(c: Config, dsGB: Double): Array[Double] = {
     val u = cs.toUnit(c)
-    if (settings.useDataSize) u :+ sim.spec.dataSizeUnit(dsGB)
-    else u
+    if (settings.useDataSize) {
+      val x = java.util.Arrays.copyOf(u, u.length + 1)
+      x(u.length) = sim.spec.dataSizeUnit(dsGB)
+      x
+    } else u
   }
 
-  // One kernel instance per lengthscale multiplier, so GPs that select the
-  // same multiplier on the same inputs can share k(X, x) (Gp.sharesKernel).
-  private val kernels = scala.collection.mutable.Map.empty[Double, MixedKernel]
-
   private def kernelOf(ls: Double): MixedKernel =
-    kernels.getOrElseUpdate(ls, MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
-      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls))
+    MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
+      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
 
   private def fitGp(xs: Array[Array[Double]], ys: Array[Double]): Gp =
     Gp.fit(xs, ys, kernelOf, noise = 1e-3)
@@ -165,10 +164,9 @@ final class OnlineTuner(sim: SparkClusterSim,
     val yObj = obs.map(o => math.log(o.objective.max(1e-9))).toArray
     val yRt = obs.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray
 
-    val gpObjLocal = fitGp(xs, yObj)
-    // Fit only when read: by AGD, or by the safe region or EIC under a
-    // finite T_max. Gp.fit draws no randomness, so skipping it is exact.
-    lazy val gpRt = fitGp(xs, yRt)
+    // One factorisation per grid lengthscale serves both GPs; the runtime
+    // GP then costs only its own triangular solves, read or not.
+    val Vector(gpObjLocal, gpRt) = Gp.fitAll(xs, Seq(yObj, yRt), kernelOf, noise = 1e-3)
     val objSurrogate: Surrogate =
       if (metaBases.isEmpty) gpObjLocal
       else {
@@ -202,7 +200,6 @@ final class OnlineTuner(sim: SparkClusterSim,
       val pool = if (feas.nonEmpty) feas else obs
       pool.sortBy(_.objective).map(_.config).distinct.take(3)
     }
-    def anchorAt(i: Int): Config = anchors(i % anchors.size)
     val free: Set[Int] =
       if (settings.useSubspace && it >= settings.freezeSubspaceAt) subspace.freeDims
       else (0 until cs.dim).toSet
@@ -213,26 +210,21 @@ final class OnlineTuner(sim: SparkClusterSim,
       val nLoc = if (settings.useLocalMoves) (settings.nCandidates * 0.5).toInt else 0
       val nSub = (settings.nCandidates * 0.4).toInt + (settings.nCandidates * 0.5).toInt - nLoc
       val nGlob = settings.nCandidates - nSub - nLoc
-      Vector.tabulate(nSub)(i => cs.sampleInSubspace(anchorAt(i), free, rng)) ++
-        Vector.tabulate(nLoc)(i => cs.perturbInSubspace(anchorAt(i), free, rng, sigma = 0.15)) ++
+      cs.sampleInSubspace(anchors, free, rng, nSub) ++
+        Vector.tabulate(nLoc)(i => cs.perturbInSubspace(anchors(i % anchors.size), free, rng, sigma = 0.15)) ++
         Vector.fill(nGlob)(cs.sampleRandom(rng))
     }
 
-    // Both GPs see the same inputs; when they also select the same
-    // lengthscale, one kernel row per candidate serves both. Without a
-    // reader of the runtime prediction, its slot holds the objective's.
+    // Without a reader of the runtime prediction, its slot holds the
+    // objective's.
+    val logTMax = math.log(objective.tMax)
     val readsRt = (settings.useSafety || settings.useEic) && !objective.tMax.isPosInfinity
-    val shared = readsRt && (objSurrogate eq gpObjLocal) && gpObjLocal.sharesKernel(gpRt)
     val scored = candidates.map { c =>
       val x = encode(c, nextDs)
       val (pObj, pRt) =
-        if (shared) {
-          val kv = gpRt.kernelVector(x)
-          (gpObjLocal.predictAt(x, kv), gpRt.predictAt(x, kv))
-        } else {
-          val p = objSurrogate.predict(x)
-          (p, if (readsRt) gpRt.predict(x) else p)
-        }
+        if (!readsRt) { val p = objSurrogate.predict(x); (p, p) }
+        else if (objSurrogate eq gpObjLocal) gpObjLocal.predictPair(gpRt, x)
+        else (objSurrogate.predict(x), gpRt.predict(x))
       val res = sim.resource(c) // white-box resource (§4.3)
       (c, pObj, pRt, res)
     }
@@ -243,9 +235,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     val pool =
       if (!settings.useSafety || objective.tMax.isPosInfinity) pool0
       else {
-        val safe = pool0.filter { case (_, _, pRt, _) =>
-          safeRegion.isSafe(Seq((pRt, math.log(objective.tMax))))
-        }
+        val safe = pool0.filter { case (_, _, pRt, _) => safeRegion.upperBound(pRt) <= logTMax }
         if (safe.nonEmpty) safe
         else {
           // Cold start / empty safe set: expand conservatively from the
@@ -258,7 +248,7 @@ final class OnlineTuner(sim: SparkClusterSim,
 
     val withEic = pool.map { case (c, pObj, pRt, _) =>
       val pr = if (!settings.useEic || objective.tMax.isPosInfinity) 1.0
-               else Acquisition.prFeasible(pRt, math.log(objective.tMax))
+               else Acquisition.prFeasible(pRt, logTMax)
       (c, pr * Acquisition.ei(pObj, yBestLog))
     }
     val (bestCand, maxEic) = withEic.maxBy(_._2)

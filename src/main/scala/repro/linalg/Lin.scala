@@ -10,6 +10,9 @@ object Lin {
   /** Cholesky factor L (lower-triangular) of SPD matrix `a`, with jitter
     * escalation: if the factorization fails, `jitter` is multiplied by 10
     * and retried up to `maxTries` times. Returns (L, usedJitter).
+    *
+    * Only the lower triangle of `a` is read (`a(i)(k)` for k ≤ i), so row
+    * i of `a` may hold just its first i + 1 entries.
     */
   def cholesky(a: Array[Array[Double]], jitter: Double = 1e-10, maxTries: Int = 8): (Array[Array[Double]], Double) = {
     val n = a.length

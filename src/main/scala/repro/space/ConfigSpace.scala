@@ -125,16 +125,17 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   /** Decode a unit-cube point back to a legal raw configuration. */
   def fromUnit(u: Array[Double]): Config = {
     require(u.length == dim, s"expected $dim dims, got ${u.length}")
-    Config(Vector.tabulate(dim) { i =>
-      kind(i) match {
-        case IntKind    => math.rint(rawOf(i, u(i))).max(lo(i)).min(hi(i))
-        case DoubleKind => rawOf(i, u(i)).max(lo(i)).min(hi(i))
-        case _ =>
-          // A unit draw in [0,1) selects a category uniformly.
-          val v = if (u(i) >= 0.0 && u(i) < 1.0) math.floor(u(i) * card(i)) else math.rint(u(i))
-          v.max(0).min(hi(i))
-      }
-    })
+    Config(Vector.tabulate(dim)(i => decode(i, u(i))))
+  }
+
+  /** Legal raw value of dimension `i` at unit coordinate `u`. */
+  private def decode(i: Int, u: Double): Double = kind(i) match {
+    case IntKind    => math.rint(rawOf(i, u)).max(lo(i)).min(hi(i))
+    case DoubleKind => rawOf(i, u).max(lo(i)).min(hi(i))
+    case _ =>
+      // A unit draw in [0,1) selects a category uniformly.
+      val v = if (u >= 0.0 && u < 1.0) math.floor(u * card(i)) else math.rint(u)
+      v.max(0).min(hi(i))
   }
 
   private def unitOf(i: Int, v: Double): Double =
@@ -197,21 +198,34 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
 
   /** Restrict sampling to a sub-space: dims in `free` vary, the rest are
     * pinned to `anchor`'s values (Eq. 5 sub-space with an anchor point). */
-  def sampleInSubspace(anchor: Config, free: Set[Int], rng: Random): Config = {
-    val u = toUnit(anchor)
-    val out = u.clone()
-    free.foreach { i =>
-      out(i) = params(i) match {
-        case CatParam(_, cs) => rng.nextInt(cs.size).toDouble
-        case _               => rng.nextDouble()
-      }
+  def sampleInSubspace(anchor: Config, free: Set[Int], rng: Random): Config =
+    sampleInSubspace(Seq(anchor), free, rng, 1).head
+
+  /** `n` sub-space draws; draw i is pinned to `anchors(i % anchors.size)`.
+    * Each draw takes its free dims from `rng` in `free`'s iteration order. */
+  def sampleInSubspace(anchors: Seq[Config], free: Set[Int], rng: Random, n: Int): Vector[Config] = {
+    val freeDims = {
+      val b = Array.newBuilder[Int]
+      free.foreach(b += _)
+      b.result()
     }
-    // Categorical anchor dims carry raw indices already; fromUnit expects
-    // unit-cube draws for cats, so re-inject anchor categories directly.
-    val cfg = fromUnit(out)
-    Config(Vector.tabulate(dim) { i =>
-      if (!free.contains(i) && isCat(i)) anchor(i) else cfg(i)
-    })
+    // Pinned numeric dims decode the anchor's unit encoding; pinned
+    // categorical dims keep the anchor's raw index. Free dims are
+    // overwritten per draw.
+    val pinned = anchors.map { a =>
+      val u = toUnit(a)
+      Array.tabulate(dim)(i => if (isCat(i)) a(i) else decode(i, u(i)))
+    }.toArray
+    Vector.tabulate(n) { k =>
+      val out = pinned(k % pinned.length).clone()
+      var j = 0
+      while (j < freeDims.length) {
+        val i = freeDims(j)
+        out(i) = decode(i, if (isCat(i)) rng.nextInt(card(i)).toDouble else rng.nextDouble())
+        j += 1
+      }
+      Config(out.toVector)
+    }
   }
 }
 

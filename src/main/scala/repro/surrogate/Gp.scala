@@ -14,6 +14,30 @@ trait Surrogate extends Serializable {
   def predict(x: Array[Double]): Pred
 }
 
+/** One grid lengthscale's kernel bound to the training inputs, with the
+  * Cholesky factor L of K + τ²I. GPs fitted together on the same inputs
+  * that select the same lengthscale share one instance.
+  */
+private final class Factor(val kernel: Kernel, val xs: Array[Array[Double]],
+                           val noise: Double) extends Serializable {
+  val rows: KernelRows = kernel.rows(xs)
+  /** k(x, x), the same for every x because the kernels are stationary. */
+  val kxx: Double = kernel(xs(0), xs(0))
+  val chol: Array[Array[Double]] = {
+    // Lower triangle only (row i holds K(i, 0..i)): Lin.cholesky reads
+    // nothing above the diagonal. The kernels are symmetric, so the row
+    // at xs(i) is K's row i.
+    val gram = Array.tabulate(xs.length) { i =>
+      val r = new Array[Double](i + 1)
+      rows.into(xs(i), r, i + 1)
+      r(i) += noise
+      r
+    }
+    Lin.cholesky(gram)._1
+  }
+  val logDet: Double = Lin.logDet(chol)
+}
+
 /** Gaussian-process regression surrogate (Eq. 2) with fixed-form mixed
   * kernels (Eq. 4) and white-noise level τ².
   *
@@ -22,75 +46,98 @@ trait Surrogate extends Serializable {
   * grid by marginal likelihood — the paper's motivation for GPs is that
   * they are effectively hyperparameter-free, which this preserves.
   */
-final class Gp private (private val kernel: Kernel,
-                        private val xs: Array[Array[Double]],
+final class Gp private (private val f: Factor,
                         alpha: Array[Double],
-                        chol: Array[Array[Double]],
-                        yMean: Double, yStd: Double,
-                        noise: Double) extends Surrogate {
+                        yMean: Double, yStd: Double) extends Surrogate {
 
   /** Predictive mean and variance at `x` (Eq. 2), on the original scale. */
-  def predict(x: Array[Double]): Pred = predictAt(x, kernelVector(x))
+  def predict(x: Array[Double]): Pred = predictAt(kernelVector(x))
 
   /** k(X, x): the kernel between every training point and `x`. */
-  def kernelVector(x: Array[Double]): Array[Double] = {
-    val n = xs.length
-    val kv = new Array[Double](n)
-    var i = 0
-    while (i < n) { kv(i) = kernel(xs(i), x); i += 1 }
-    kv
+  def kernelVector(x: Array[Double]): Array[Double] = f.rows.row(x)
+
+  /** [[predict]] at the point whose kernel row is `kv`, which may come from
+    * another GP's [[kernelVector]] when [[sharesKernel]] holds. `kv` is only
+    * read. */
+  def predictAt(kv: Array[Double]): Pred = at(kv, explained(kv))
+
+  /** ([[predict]], `o.predict`) at `x`. When both GPs were fitted together
+    * and selected the same lengthscale, they share L, so one kernel row and
+    * one solve v = L⁻¹k(X, x) serve both. */
+  def predictPair(o: Gp, x: Array[Double]): (Pred, Pred) =
+    if (f eq o.f) {
+      val kv = kernelVector(x)
+      val vv = explained(kv)
+      (at(kv, vv), o.at(kv, vv))
+    } else (predict(x), o.predict(x))
+
+  /** |v|² with v = L⁻¹kv: the prior variance the training data explains. */
+  private def explained(kv: Array[Double]): Double = {
+    val v = Lin.solveLower(f.chol, kv)
+    Lin.dot(v, v)
   }
 
-  /** [[predict]] at `x` given `kv = k(X, x)`, which may come from another
-    * GP's [[kernelVector]] when [[sharesKernel]] holds. `kv` is only read. */
-  def predictAt(x: Array[Double], kv: Array[Double]): Pred = {
+  /** The prediction from `kv = k(X, x)` and `vv = |L⁻¹kv|²`. */
+  private def at(kv: Array[Double], vv: Double): Pred = {
     val muStd = Lin.dot(kv, alpha)
-    val v = Lin.solveLower(chol, kv)
-    val varStd = (kernel(x, x) + noise - Lin.dot(v, v)).max(1e-12)
+    val varStd = (f.kxx + f.noise - vv).max(1e-12)
     Pred(yMean + yStd * muStd, varStd * yStd * yStd)
   }
 
-  def n: Int = xs.length
+  def n: Int = f.xs.length
 
   /** True when `o` holds the same training-array and kernel instances, so
     * its [[kernelVector]] at any point equals this GP's. */
-  def sharesKernel(o: Gp): Boolean = (xs eq o.xs) && (kernel eq o.kernel)
+  def sharesKernel(o: Gp): Boolean = (f.xs eq o.f.xs) && (f.kernel eq o.f.kernel)
 }
 
 object Gp {
-  /** Fit a GP on raw (unit-encoded) inputs and targets.
-    *
-    * @param kernelOf builds a kernel given a lengthscale multiplier; the
-    *                 multiplier is selected from `lsGrid` by marginal
-    *                 log-likelihood.
-    */
+  /** Fit a GP on raw (unit-encoded) inputs and targets: [[fitAll]] with one
+    * target. */
   def fit(xs: Array[Array[Double]], ys: Array[Double],
           kernelOf: Double => Kernel,
           noise: Double = 1e-4,
-          lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Gp = {
-    require(xs.nonEmpty && xs.length == ys.length, "empty or mismatched training data")
-    val n = xs.length
-    val yMean = ys.sum / n
-    val yStd = {
-      val v = ys.map(y => (y - yMean) * (y - yMean)).sum / n
-      math.sqrt(v).max(1e-8)
-    }
-    val yStdz = ys.map(y => (y - yMean) / yStd)
+          lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Gp =
+    fitAll(xs, Seq(ys), kernelOf, noise, lsGrid).head
 
-    var best: Gp = null
-    var bestMll = Double.NegativeInfinity
+  /** Fit one GP per target in `yss`, all on the inputs `xs`. Each grid
+    * kernel's gram matrix is built and factored once; each target then
+    * selects its own lengthscale by marginal log-likelihood, so every GP
+    * equals a separate [[fit]] on its target.
+    *
+    * @param kernelOf builds a kernel given a lengthscale multiplier from
+    *                 `lsGrid`
+    */
+  def fitAll(xs: Array[Array[Double]], yss: Seq[Array[Double]],
+             kernelOf: Double => Kernel,
+             noise: Double = 1e-4,
+             lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Vector[Gp] = {
+    require(xs.nonEmpty && yss.forall(_.length == xs.length), "empty or mismatched training data")
+    val n = xs.length
+    val targets = yss.toVector.map { ys =>
+      val yMean = ys.sum / n
+      val yStd = {
+        val v = ys.map(y => (y - yMean) * (y - yMean)).sum / n
+        math.sqrt(v).max(1e-8)
+      }
+      (ys.map(y => (y - yMean) / yStd), yMean, yStd)
+    }
+
+    val best = new Array[Gp](targets.size)
+    val bestMll = Array.fill(targets.size)(Double.NegativeInfinity)
     for (ls <- lsGrid) {
-      val k = kernelOf(ls)
-      val gram = Array.tabulate(n, n)((i, j) => k(xs(i), xs(j)) + (if (i == j) noise else 0.0))
-      val (l, _) = Lin.cholesky(gram)
-      val a = Lin.choleskySolve(l, yStdz)
-      val mll = -0.5 * Lin.dot(yStdz, a) - 0.5 * Lin.logDet(l) - 0.5 * n * math.log(2 * math.Pi)
-      if (mll > bestMll) {
-        bestMll = mll
-        best = new Gp(k, xs, a, l, yMean, yStd, noise)
+      val f = new Factor(kernelOf(ls), xs, noise)
+      for (t <- targets.indices) {
+        val (yStdz, yMean, yStd) = targets(t)
+        val a = Lin.choleskySolve(f.chol, yStdz)
+        val mll = -0.5 * Lin.dot(yStdz, a) - 0.5 * f.logDet - 0.5 * n * math.log(2 * math.Pi)
+        if (mll > bestMll(t)) {
+          bestMll(t) = mll
+          best(t) = new Gp(f, a, yMean, yStd)
+        }
       }
     }
-    best
+    best.toVector
   }
 }
 

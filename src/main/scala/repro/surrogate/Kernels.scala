@@ -1,10 +1,61 @@
 package repro.surrogate
 
+import java.util.Arrays
 import repro.space.ConfigSpace
 
-/** Covariance function over unit-cube-encoded configuration vectors. */
+/** Covariance function over unit-cube-encoded configuration vectors.
+  *
+  * Every kernel here is stationary: k(x, y) depends only on how x and y
+  * differ, so k(x, x) is the same constant for every x. [[Gp]] relies on
+  * this and reads k(x, x) once per fit.
+  */
 trait Kernel extends Serializable {
   def apply(x: Array[Double], y: Array[Double]): Double
+
+  /** This kernel bound to the training points `xs`, which it stores
+    * column-major. */
+  def rows(xs: Array[Array[Double]]): KernelRows
+}
+
+/** A kernel bound to `n` training points X. Each value is computed with
+  * the kernel's per-pair arithmetic in `apply`'s order, so `row(x)(i)`
+  * equals `apply(X(i), x)` to the bit (with no dims, s = 0 gives 1.0
+  * exactly, as `apply`'s early return does).
+  */
+abstract class KernelRows(val n: Int) extends Serializable {
+  /** Writes k(X(i), x) into `out(i)` for every i < m (m ≤ n). */
+  def into(x: Array[Double], out: Array[Double], m: Int): Unit
+
+  /** k(X, x). */
+  final def row(x: Array[Double]): Array[Double] = {
+    val out = new Array[Double](n)
+    into(x, out, n)
+    out
+  }
+}
+
+private object KernelRows {
+  /** Column j holds `f(xs(i)(dims(j)))` for every training point i. */
+  def columns(xs: Array[Array[Double]], dims: Array[Int], f: Double => Double): Array[Array[Double]] =
+    Array.tabulate(dims.length)(j => Array.tabulate(xs.length)(i => f(xs(i)(dims(j)))))
+
+  /** out(i) = Σⱼ ((cols(j)(i) − x(dims(j))) / ℓ)², summed in dims order. */
+  def sqDist(cols: Array[Array[Double]], dims: Array[Int], lengthscale: Double,
+             x: Array[Double], out: Array[Double], m: Int): Unit = {
+    Arrays.fill(out, 0, m, 0.0)
+    var j = 0
+    while (j < cols.length) {
+      val c = cols(j)
+      val xj = x(dims(j))
+      var i = 0
+      while (i < m) {
+        val d = (c(i) - xj) / lengthscale
+        out(i) += d * d
+        i += 1
+      }
+      j += 1
+    }
+  }
 }
 
 /** Matérn-5/2 over a subset of (numeric) dimensions with a shared
@@ -12,6 +63,14 @@ trait Kernel extends Serializable {
   */
 final class Matern52(dims: Array[Int], lengthscale: Double) extends Kernel {
   require(lengthscale > 0)
+
+  /** k as a function of the scaled squared distance s = r². */
+  private def ofSq(s: Double): Double = {
+    val r = math.sqrt(s)
+    val a = math.sqrt(5.0) * r
+    (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
+  }
+
   def apply(x: Array[Double], y: Array[Double]): Double = {
     if (dims.isEmpty) return 1.0
     var s = 0.0
@@ -21,9 +80,18 @@ final class Matern52(dims: Array[Int], lengthscale: Double) extends Kernel {
       s += d * d
       i += 1
     }
-    val r = math.sqrt(s)
-    val a = math.sqrt(5.0) * r
-    (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
+    ofSq(s)
+  }
+
+  def rows(xs: Array[Array[Double]]): KernelRows = {
+    val cols = KernelRows.columns(xs, dims, identity)
+    new KernelRows(xs.length) {
+      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
+        KernelRows.sqDist(cols, dims, lengthscale, x, out, m)
+        var i = 0
+        while (i < m) { out(i) = ofSq(out(i)); i += 1 }
+      }
+    }
   }
 }
 
@@ -42,6 +110,17 @@ final class SqExp(dims: Array[Int], lengthscale: Double) extends Kernel {
       i += 1
     }
     math.exp(-0.5 * s)
+  }
+
+  def rows(xs: Array[Array[Double]]): KernelRows = {
+    val cols = KernelRows.columns(xs, dims, identity)
+    new KernelRows(xs.length) {
+      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
+        KernelRows.sqDist(cols, dims, lengthscale, x, out, m)
+        var i = 0
+        while (i < m) { out(i) = math.exp(-0.5 * out(i)); i += 1 }
+      }
+    }
   }
 }
 
@@ -62,6 +141,25 @@ final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
     }
     byMismatch(mis)
   }
+
+  def rows(xs: Array[Array[Double]]): KernelRows = {
+    val cols = KernelRows.columns(xs, dims, math.rint)
+    new KernelRows(xs.length) {
+      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
+        Arrays.fill(out, 0, m, 0.0) // mismatch counts, exact in a double
+        var j = 0
+        while (j < cols.length) {
+          val c = cols(j)
+          val xj = math.rint(x(dims(j)))
+          var i = 0
+          while (i < m) { if (c(i) != xj) out(i) += 1.0; i += 1 }
+          j += 1
+        }
+        var i = 0
+        while (i < m) { out(i) = byMismatch(out(i).toInt); i += 1 }
+      }
+    }
+  }
 }
 
 /** Product of component kernels with an output variance amplitude —
@@ -75,6 +173,23 @@ final class MixedKernel(components: Vector[Kernel], amplitude: Double = 1.0) ext
     var i = 0
     while (i < parts.length) { k *= parts(i)(x, y); i += 1 }
     k
+  }
+
+  def rows(xs: Array[Array[Double]]): KernelRows = {
+    val bound = parts.map(_.rows(xs))
+    new KernelRows(xs.length) {
+      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
+        Arrays.fill(out, 0, m, amplitude)
+        val part = new Array[Double](m)
+        var p = 0
+        while (p < bound.length) {
+          bound(p).into(x, part, m)
+          var i = 0
+          while (i < m) { out(i) *= part(i); i += 1 }
+          p += 1
+        }
+      }
+    }
   }
 }
 

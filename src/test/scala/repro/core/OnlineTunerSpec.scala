@@ -44,23 +44,46 @@ class OnlineTunerSpec extends AnyFunSuite {
     assert(run(7) == run(7))
   }
 
-  test("golden history: 30-iteration TeraSort sessions hash to recorded digests") {
-    // SHA-256 over the raw bits of every config value and objective, in
-    // history order. A change that alters any suggestion changes the digest.
-    def digest(beta: Double): String = {
-      val obj = Objective(beta).withConstraintsFrom(manualRt, sim.resource(manual))
-      val out = new OnlineTuner(sim, obj, TunerSettings(seed = 12), Vector(manual)).tune(30)
-      assert(out.history.size == 30)
-      val buf = java.nio.ByteBuffer.allocate(out.history.all.map(_.config.values.size + 1).sum * 8)
-      out.history.all.foreach { o =>
-        o.config.values.foreach(v => buf.putLong(java.lang.Double.doubleToRawLongBits(v)))
-        buf.putLong(java.lang.Double.doubleToRawLongBits(o.objective))
-      }
-      java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
-        .map(b => f"${b & 0xff}%02x").mkString
+  /** SHA-256 over the raw bits of every config value and objective, in
+    * history order. A change that alters any suggestion changes the digest. */
+  private def digest(out: TuneOutcome): String = {
+    val buf = java.nio.ByteBuffer.allocate(out.history.all.map(_.config.values.size + 1).sum * 8)
+    out.history.all.foreach { o =>
+      o.config.values.foreach(v => buf.putLong(java.lang.Double.doubleToRawLongBits(v)))
+      buf.putLong(java.lang.Double.doubleToRawLongBits(o.objective))
     }
-    assert(digest(1.0) == "408f3091c518823ab2ec96457bd3d48e944d58b643a0503071cdfc56128857fb")
-    assert(digest(0.5) == "26adb75358e73a4c732512b57c2d87a59d9ce2a3962afa74d39760b877dbbce2")
+    java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
+      .map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  private def session(obj: Objective, settings: TunerSettings,
+                      metaBases: Vector[(repro.surrogate.Surrogate, Double)] = Vector.empty): TuneOutcome = {
+    val out = new OnlineTuner(sim, obj, settings, Vector(manual), metaBases).tune(30)
+    assert(out.history.size == 30)
+    out
+  }
+
+  test("golden history: 30-iteration TeraSort sessions hash to recorded digests") {
+    def digestAt(beta: Double): String =
+      digest(session(Objective(beta).withConstraintsFrom(manualRt, sim.resource(manual)),
+        TunerSettings(seed = 12)))
+    assert(digestAt(1.0) == "408f3091c518823ab2ec96457bd3d48e944d58b643a0503071cdfc56128857fb")
+    assert(digestAt(0.5) == "26adb75358e73a4c732512b57c2d87a59d9ce2a3962afa74d39760b877dbbce2")
+  }
+
+  test("golden history: no data-size dim, meta ensemble and unbounded runtime sessions") {
+    // Paths the default sessions miss: a kernel without an SE column, the
+    // Eq. 12 ensemble over a source-task GP, and β = 0.5 with T_max = ∞,
+    // where nothing reads the runtime GP.
+    val noDs = digest(session(objective, TunerSettings(seed = 14, useDataSize = false)))
+    val src = repro.meta.SourceTask.fromHistory(cs, "src",
+      repro.meta.MetaFeatures.fromSpec(Workloads.TeraSort),
+      session(objective, TunerSettings(seed = 15)).history.all)
+    val meta = digest(session(objective, TunerSettings(seed = 16), Vector((src.surrogate, 0.8))))
+    val unbounded = digest(session(Objective(0.5), TunerSettings(seed = 17)))
+    assert(noDs == "f8cb77168967a7266f561cd7a3579725d9398f34dde0b187725b5b62fa55d928")
+    assert(meta == "c9dcc169d73d76f468b16cdd1848fed87040b99e57f3b86504f2332d8474536d")
+    assert(unbounded == "beaf288acc5e91337db6bcf2274274e83399fa89f4514ebde1ff63e73e6b5e37")
   }
 
   test("safety on yields at least as many feasible trials as safety off") {

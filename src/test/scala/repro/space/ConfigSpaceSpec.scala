@@ -170,6 +170,40 @@ class ConfigSpaceSpec extends AnyFunSuite {
     assert(vals.size > 5)
   }
 
+  /** The per-call sub-space sampler as it was before the batch version:
+    * encode and decode the anchor for every draw. */
+  private def sampleInSubspaceRef(anchor: Config, free: Set[Int], r: Random): Config = {
+    val u = cs.toUnit(anchor)
+    val out = u.clone()
+    free.foreach { i =>
+      out(i) = cs.params(i) match {
+        case CatParam(_, choices) => r.nextInt(choices.size).toDouble
+        case _                    => r.nextDouble()
+      }
+    }
+    val cfg = cs.fromUnit(out)
+    Config(Vector.tabulate(cs.dim)(i => if (!free.contains(i) && cs.isCat(i)) anchor(i) else cfg(i)))
+  }
+
+  test("batch sampleInSubspace equals per-call draws and leaves the Random in the same state") {
+    val r = new Random(21)
+    val anchors = SparkParams.defaults(cs) +: cs.sampleRandom(r, 2)
+    def bits(c: Config) = c.values.map(java.lang.Double.doubleToRawLongBits)
+    // Sizes 0–4 are Set1–Set4 (insertion order), larger ones HashSets.
+    for (size <- Seq(0, 1, 4, 5, 12, 30); nAnchors <- 1 to 3) {
+      val free = r.shuffle((0 until cs.dim).toVector).take(size).toSet
+      assert(free.isInstanceOf[scala.collection.immutable.HashSet[_]] == size > 4)
+      val seed = r.nextLong()
+      val (a, b) = (new Random(seed), new Random(seed))
+      val batch = cs.sampleInSubspace(anchors.take(nAnchors), free, a, 40)
+      val ref = Vector.tabulate(40)(i => sampleInSubspaceRef(anchors(i % nAnchors), free, b))
+      assert(batch.map(bits) == ref.map(bits), s"free=$free anchors=$nAnchors")
+      assert(a.nextLong() == b.nextLong(), s"free=$free anchors=$nAnchors")
+      assert(bits(cs.sampleInSubspace(anchors(0), free, new Random(seed))) ==
+        bits(sampleInSubspaceRef(anchors(0), free, new Random(seed))))
+    }
+  }
+
   test("halton points lie in [0,1) and are distinct") {
     val pts = LowDiscrepancy.halton(64, 5, 1)
     pts.foreach(_.foreach(v => assert(v >= 0.0 && v < 1.0)))

@@ -102,8 +102,8 @@ class GpSpec extends AnyFunSuite {
     assert(a.sharesKernel(b) && b.sharesKernel(a))
     (0 until 20).foreach { _ =>
       val x = Array(r.nextDouble(), r.nextDouble())
-      assert(a.predictAt(x, b.kernelVector(x)) == a.predict(x))
-      assert(b.predictAt(x, a.kernelVector(x)) == b.predict(x))
+      assert(a.predictAt(b.kernelVector(x)) == a.predict(x))
+      assert(b.predictAt(a.kernelVector(x)) == b.predict(x))
     }
   }
 
@@ -114,6 +114,23 @@ class GpSpec extends AnyFunSuite {
     val gp = Gp.fit(xs, ys, _ => k, lsGrid = Seq(1.0))
     assert(!gp.sharesKernel(Gp.fit(xs, ys, _ => new Matern52(Array(0), 0.5), lsGrid = Seq(1.0))))
     assert(!gp.sharesKernel(Gp.fit(xs.map(_.clone()), ys, _ => k, lsGrid = Seq(1.0))))
+  }
+
+  test("fitAll equals a separate fit per target; predictPair equals two predicts") {
+    val r = new Random(8)
+    def point() = Array(4 * r.nextDouble())
+    val xs = Array.fill(15)(point())
+    val smooth = xs.map(x => math.sin(x(0)))
+    val yss = Seq(smooth, xs.map(_ => r.nextGaussian()), smooth.map(y => 3.0 * y - 1.0))
+    val together = Gp.fitAll(xs, yss, kOf, noise = 1e-3)
+    val alone = yss.map(ys => Gp.fit(xs, ys, kOf, noise = 1e-3))
+    // GPs that selected the same lengthscale share its kernel instance.
+    val shared = for (a <- together; b <- together if a ne b) yield a.sharesKernel(b)
+    assert(shared.contains(true) && shared.contains(false))
+    (xs.take(3) ++ Array.fill(20)(point())).foreach { x =>
+      together.zip(alone).foreach { case (t, a) => assert(t.predict(x) == a.predict(x)) }
+      for (a <- together; b <- together) assert(a.predictPair(b, x) == ((a.predict(x), b.predict(x))))
+    }
   }
 
   test("Pred.sigma is sqrt of variance, floored") {

@@ -1,6 +1,8 @@
 package repro.surrogate
 
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.env.FleetGen
 import repro.space.SparkParams
 
 class KernelsSpec extends AnyFunSuite {
@@ -30,6 +32,8 @@ class KernelsSpec extends AnyFunSuite {
   test("Matern52 over empty dims is constant 1") {
     val k = new Matern52(Array.empty, 0.5)
     assert(k(Array(0.1), Array(0.9)) == 1.0)
+    assert(k.rows(Array(Array(0.1), Array(0.5))).row(Array(0.9)).toSeq == Seq(1.0, 1.0))
+    assert(new SqExp(Array.empty, 0.5).rows(Array(Array(0.1))).row(Array(0.9)).toSeq == Seq(1.0))
   }
 
   test("SqExp matches exp(-d²/2ℓ²)") {
@@ -76,5 +80,36 @@ class KernelsSpec extends AnyFunSuite {
     val c0 = SparkParams.defaults(cs)
     val c1 = cs.withValue(c0, SparkParams.IoCodec, 2.0)
     assert(k(cs.toUnit(c0), cs.toUnit(c1)) < 1.0)
+  }
+
+  test("kernel rows equal apply bit for bit, also on duplicate training points") {
+    val r = new Random(4)
+    def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
+    for (space <- Seq(FleetGen.hibenchSpace, FleetGen.prodSpace); ds <- Seq(false, true);
+         n <- Seq(1, 2, 17, 30); ls <- Seq(0.5, 1.0, 2.0)) {
+      // Categorical coordinates are moved off their integer index by up to
+      // ±0.3, so a row must round them as apply does.
+      def point() = {
+        val u = space.toUnit(space.sampleRandom(r))
+        (0 until space.dim).filter(space.isCat).foreach(i => u(i) += 0.6 * r.nextDouble() - 0.3)
+        if (ds) u :+ r.nextDouble() else u
+      }
+      // The second half of the training points repeats the first half.
+      val distinct = Array.fill((n + 1) / 2)(point())
+      val xs = Array.tabulate(n)(i => distinct(i % distinct.length).clone())
+      val k = MixedKernel.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
+      val rows = k.rows(xs)
+      (xs ++ Array.fill(5)(point())).foreach { x =>
+        val row = rows.row(x)
+        assert(row.length == n)
+        (0 until n).foreach { i =>
+          assert(bits(row(i)) == bits(k(xs(i), x)), s"n=$n ds=$ds ls=$ls i=$i")
+        }
+        val prefix = Array.fill(n)(-1.0)
+        rows.into(x, prefix, n / 2)
+        assert(prefix.take(n / 2).map(bits).toSeq == row.take(n / 2).map(bits).toSeq)
+        assert(prefix.drop(n / 2).forall(_ == -1.0))
+      }
+    }
   }
 }

@@ -235,7 +235,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     val pool =
       if (!settings.useSafety || objective.tMax.isPosInfinity) pool0
       else {
-        val safe = pool0.filter { case (_, _, pRt, _) => safeRegion.upperBound(pRt) <= logTMax }
+        val safe = pool0.filter { case (_, _, pRt, _) => safeRegion.isSafe(Seq((pRt, logTMax))) }
         if (safe.nonEmpty) safe
         else {
           // Cold start / empty safe set: expand conservatively from the
@@ -246,10 +246,9 @@ final class OnlineTuner(sim: SparkClusterSim,
         }
       }
 
+    val useEic = settings.useEic && !objective.tMax.isPosInfinity
     val withEic = pool.map { case (c, pObj, pRt, _) =>
-      val pr = if (!settings.useEic || objective.tMax.isPosInfinity) 1.0
-               else Acquisition.prFeasible(pRt, logTMax)
-      (c, pr * Acquisition.ei(pObj, yBestLog))
+      (c, Acquisition.eic(pObj, yBestLog, if (useEic) Seq((pRt, logTMax)) else Nil))
     }
     val (bestCand, maxEic) = withEic.maxBy(_._2)
     if (settings.stopEi > 0 && obs.size > settings.nInit && maxEic < settings.stopEi)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.env.{FleetGen, ProdTask, SparkClusterSim}
+import repro.env.{FleetGen, ProdTask, RunResult, SparkClusterSim}
 import repro.meta.{MetaFeatures, SourceTask, TaskSimilarity, WarmStart}
 import repro.space.Config
 
@@ -27,28 +27,19 @@ object TuningService {
   /** Number of manual executions averaged for the pre/post windows. */
   val Window = 5
 
-  /** Tune one production task end-to-end and report the Table-2/3 metrics.
-    *
-    * Mirrors the production recipe: objective = execution cost (β=0.5),
-    * constraints = 2× the manual configuration's metrics, budget 20.
+  /** The production recipe: `Window` runs of the periodic job under the
+    * engineers' manual config, then `budget` online-tuned runs with
+    * objective = execution cost (β=0.5) and constraints = 2× the manual
+    * configuration's metrics. Returns the simulator, the manual runs and
+    * the tuning history.
     */
-  def tuneOne(task: ProdTask, budget: Int = 20,
-              settings: TunerSettings = TunerSettings(),
-              warmStart: Vector[Config] = Vector.empty): FleetRow = {
-    val cs = FleetGen.prodSpace
-    val sim = new SparkClusterSim(task.spec, cs)
-
-    // Pre-tuning: the periodic job under the engineers' manual config.
+  private def tuneOnline(task: ProdTask, budget: Int, settings: TunerSettings,
+                         warmStart: Vector[Config]): (SparkClusterSim, Seq[RunResult], RunHistory) = {
+    val sim = new SparkClusterSim(task.spec, FleetGen.prodSpace)
     val pre = (0 until Window).map(i => sim.run(task.manual, i))
     val preRt = pre.map(_.runtimeSec).sum / Window
-    val preMem = pre.map(_.memUsageGBh).sum / Window
-    val preCpu = pre.map(_.cpuUsageCoreH).sum / Window
-
-    val objective = Objective(beta = 0.5)
-      .withConstraintsFrom(preRt, sim.resource(task.manual))
-    // Reported "execution cost" is the paper's product T·R (the β=0.5
-    // objective √(T·R) has the same minimizer; §3.2).
-    val preCost = preRt * sim.resource(task.manual)
+    val manualRes = sim.resource(task.manual)
+    val objective = Objective(beta = 0.5).withConstraintsFrom(preRt, manualRes)
 
     // Online tuning starts from the incumbent: the manual configuration is
     // the first "trial" (it is what production is already running), then
@@ -56,7 +47,6 @@ object TuningService {
     // starts transferred from tasks of a very different scale are screened
     // out by a white-box resource sanity check (a platform would never
     // run a 2-executor transfer on a 1000-executor job).
-    val manualRes = sim.resource(task.manual)
     val screened = warmStart.filter { w =>
       val r = sim.resource(w)
       r >= 0.1 * manualRes && r <= 2.0 * manualRes
@@ -67,8 +57,22 @@ object TuningService {
     val tuner = new OnlineTuner(sim, objective,
       settings.copy(seed = settings.seed + task.spec.seed, nInit = 1),
       task.manual +: screened)
-    val out = tuner.tune(budget, startIter = Window)
-    val hist = out.history
+    (sim, pre, tuner.tune(budget, startIter = Window).history)
+  }
+
+  /** Tune one production task end-to-end with the production recipe
+    * ([[tuneOnline]], budget 20) and report the Table-2/3 metrics. */
+  def tuneOne(task: ProdTask, budget: Int = 20,
+              settings: TunerSettings = TunerSettings(),
+              warmStart: Vector[Config] = Vector.empty): FleetRow = {
+    val cs = FleetGen.prodSpace
+    val (sim, pre, hist) = tuneOnline(task, budget, settings, warmStart)
+    val preRt = pre.map(_.runtimeSec).sum / Window
+    val preMem = pre.map(_.memUsageGBh).sum / Window
+    val preCpu = pre.map(_.cpuUsageCoreH).sum / Window
+    // Reported "execution cost" is the paper's product T·R (the β=0.5
+    // objective √(T·R) has the same minimizer; §3.2).
+    val preCost = preRt * sim.resource(task.manual)
 
     val under = hist.all.map(_.result)
     val underRt = under.map(_.runtimeSec).sum / under.size
@@ -98,20 +102,14 @@ object TuningService {
   }
 
   /** Build the shared meta-knowledge repository: tune `n` seeded historical
-    * tasks from scratch and learn the task-distance model (§5). */
+    * tasks from scratch with the production recipe and learn the
+    * task-distance model (§5). */
   def buildKnowledgeBase(n: Int = 8, budget: Int = 20, seed: Long = 7L)
       : (TaskSimilarity.DistanceModel, Vector[SourceTask]) = {
     val cs = FleetGen.prodSpace
-    val hist = FleetGen.fleet(n, seed = seed * 131 + 5)
-    val sources = hist.map { task =>
-      val sim = new SparkClusterSim(task.spec, cs)
-      val pre = (0 until Window).map(i => sim.run(task.manual, i))
-      val preRt = pre.map(_.runtimeSec).sum / Window
-      val objective = Objective(0.5).withConstraintsFrom(preRt, sim.resource(task.manual))
-      val out = new OnlineTuner(sim, objective,
-        TunerSettings(seed = task.spec.seed, nInit = 1), Vector(task.manual))
-        .tune(budget, startIter = Window)
-      SourceTask.fromHistory(cs, task.name, MetaFeatures.fromSpec(task.spec), out.history.all)
+    val sources = FleetGen.fleet(n, seed = seed * 131 + 5).map { task =>
+      val (_, _, hist) = tuneOnline(task, budget, TunerSettings(), Vector.empty)
+      SourceTask.fromHistory(cs, task.name, MetaFeatures.fromSpec(task.spec), hist.all)
     }
     val model = TaskSimilarity.train(cs, sources.map(s => (s.metaFeatures, s.surrogate)),
       nSample = 120, seed = seed)

@@ -46,27 +46,22 @@ private final class Factor(val kernel: Kernel, val xs: Array[Array[Double]],
   * grid by marginal likelihood — the paper's motivation for GPs is that
   * they are effectively hyperparameter-free, which this preserves.
   */
-final class Gp private (private val f: Factor,
+final class Gp private (private[surrogate] val f: Factor,
                         alpha: Array[Double],
                         yMean: Double, yStd: Double) extends Surrogate {
 
   /** Predictive mean and variance at `x` (Eq. 2), on the original scale. */
-  def predict(x: Array[Double]): Pred = predictAt(kernelVector(x))
-
-  /** k(X, x): the kernel between every training point and `x`. */
-  def kernelVector(x: Array[Double]): Array[Double] = f.rows.row(x)
-
-  /** [[predict]] at the point whose kernel row is `kv`, which may come from
-    * another GP's [[kernelVector]] when [[sharesKernel]] holds. `kv` is only
-    * read. */
-  def predictAt(kv: Array[Double]): Pred = at(kv, explained(kv))
+  def predict(x: Array[Double]): Pred = {
+    val kv = f.rows.row(x)
+    at(kv, explained(kv))
+  }
 
   /** ([[predict]], `o.predict`) at `x`. When both GPs were fitted together
-    * and selected the same lengthscale, they share L, so one kernel row and
-    * one solve v = L⁻¹k(X, x) serve both. */
+    * and selected the same lengthscale, they share L, so one kernel row
+    * k(X, x) and one solve v = L⁻¹k(X, x) serve both. */
   def predictPair(o: Gp, x: Array[Double]): (Pred, Pred) =
     if (f eq o.f) {
-      val kv = kernelVector(x)
+      val kv = f.rows.row(x)
       val vv = explained(kv)
       (at(kv, vv), o.at(kv, vv))
     } else (predict(x), o.predict(x))
@@ -85,10 +80,6 @@ final class Gp private (private val f: Factor,
   }
 
   def n: Int = f.xs.length
-
-  /** True when `o` holds the same training-array and kernel instances, so
-    * its [[kernelVector]] at any point equals this GP's. */
-  def sharesKernel(o: Gp): Boolean = (f.xs eq o.f.xs) && (f.kernel eq o.f.kernel)
 }
 
 object Gp {

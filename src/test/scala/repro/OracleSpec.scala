@@ -4,31 +4,25 @@ import org.apache.spark.sql.functions._
 
 class OracleSpec extends SparkSpec {
 
+  private def keys = SynthData.zipfKeys(spark, 2000, 50, seed = 9)
+  private val sql = "SELECT k, count(*) AS cnt FROM keys GROUP BY k"
+
   test("assertEquivalent passes for a matching aggregate") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val got = li.groupBy("l_returnflag").agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(got,
-      "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+    val got = keys.groupBy("k").agg(count(lit(1)) as "cnt")
+    Oracle.assertEquivalent(got, sql, "keys" -> keys)
   }
 
   test("assertEquivalent fails when the query differs") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val wrong = li.groupBy("l_returnflag").agg((count(lit(1)) + 1) as "cnt")
+    val wrong = keys.groupBy("k").agg((count(lit(1)) + 1) as "cnt")
     assertThrows[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, sql, "keys" -> keys)
     }
   }
 
   test("assertEquivalent requires matching column names") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val misnamed = li.groupBy("l_returnflag").agg(count(lit(1)) as "n")
+    val misnamed = keys.groupBy("k").agg(count(lit(1)) as "n")
     assertThrows[IllegalArgumentException] {
-      Oracle.assertEquivalent(misnamed,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(misnamed, sql, "keys" -> keys)
     }
   }
 }

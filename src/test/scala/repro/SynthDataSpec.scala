@@ -2,24 +2,12 @@ package repro
 
 class SynthDataSpec extends SparkSpec {
 
-  test("lineitem generates the scaled row count and schema") {
-    val df = SynthData.lineitem(spark, sf = 0.001)
-    assert(df.count() == 6000)
-    assert(df.columns.toSet.contains("l_orderkey"))
-    assert(df.columns.length == 10)
-  }
-
-  test("orders keys are dense 1..N") {
-    val df = SynthData.orders(spark, sf = 0.001)
-    val mm = df.agg(org.apache.spark.sql.functions.min("o_orderkey"),
-                    org.apache.spark.sql.functions.max("o_orderkey")).collect()(0)
-    assert(mm.getLong(0) == 1L && mm.getLong(1) == 1500L)
-  }
-
   test("generators are deterministic in (sf, seed)") {
-    val a = SynthData.customer(spark, 0.001).collect().map(_.toString).sorted
-    val b = SynthData.customer(spark, 0.001).collect().map(_.toString).sorted
-    assert(a.sameElements(b))
+    def rows(df: org.apache.spark.sql.DataFrame) = df.collect().map(_.toString).sorted
+    assert(rows(SynthData.zipfKeys(spark, 500, 40, seed = 6))
+      .sameElements(rows(SynthData.zipfKeys(spark, 500, 40, seed = 6))))
+    assert(rows(SynthData.uniformKeys(spark, 500, 40, seed = 6))
+      .sameElements(rows(SynthData.uniformKeys(spark, 500, 40, seed = 6))))
   }
 
   test("zipf keys are skewed: top key far exceeds the median count") {
@@ -34,11 +22,5 @@ class SynthDataSpec extends SparkSpec {
     assert(ks.length == 10)
     val cs = ks.map(_.getLong(1))
     assert(cs.max < cs.min * 2)
-  }
-
-  test("part retail prices are deterministic function of the key") {
-    val rows = SynthData.part(spark, 0.001).select("p_partkey", "p_retailprice")
-      .collect().map(r => (r.getLong(0), r.getDouble(1))).toMap
-    assert(rows(1L) == 900.1)
   }
 }

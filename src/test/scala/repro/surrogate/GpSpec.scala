@@ -97,23 +97,31 @@ class GpSpec extends AnyFunSuite {
     val r = new Random(3)
     val xs = Array.fill(12)(Array(r.nextDouble(), r.nextDouble()))
     val k = new Matern52(Array(0, 1), 0.4)
-    val a = Gp.fit(xs, xs.map(x => math.sin(5 * x(0)) + x(1)), _ => k, lsGrid = Seq(1.0))
-    val b = Gp.fit(xs, xs.map(x => x(0) * x(1)), _ => k, lsGrid = Seq(1.0))
-    assert(a.sharesKernel(b) && b.sharesKernel(a))
+    val Vector(a, b) = Gp.fitAll(xs, Seq(xs.map(x => math.sin(5 * x(0)) + x(1)), xs.map(x => x(0) * x(1))),
+      _ => k, lsGrid = Seq(1.0))
+    assert(a.f eq b.f)
     (0 until 20).foreach { _ =>
       val x = Array(r.nextDouble(), r.nextDouble())
-      assert(a.predictAt(b.kernelVector(x)) == a.predict(x))
-      assert(b.predictAt(a.kernelVector(x)) == b.predict(x))
+      assert(a.predictPair(b, x) == ((a.predict(x), b.predict(x))))
+      assert(b.predictPair(a, x) == ((b.predict(x), a.predict(x))))
     }
   }
 
-  test("sharesKernel is false for another kernel or training array") {
+  test("predictPair falls back for another kernel or training array") {
     val xs = Array(Array(0.1), Array(0.5), Array(0.9))
     val ys = Array(1.0, 2.0, 0.5)
     val k = new Matern52(Array(0), 0.5)
     val gp = Gp.fit(xs, ys, _ => k, lsGrid = Seq(1.0))
-    assert(!gp.sharesKernel(Gp.fit(xs, ys, _ => new Matern52(Array(0), 0.5), lsGrid = Seq(1.0))))
-    assert(!gp.sharesKernel(Gp.fit(xs.map(_.clone()), ys, _ => k, lsGrid = Seq(1.0))))
+    val others = Seq(
+      Gp.fit(xs, ys.reverse, _ => new Matern52(Array(0), 0.5), lsGrid = Seq(1.0)),
+      Gp.fit(xs.map(_.clone()), ys.reverse, _ => k, lsGrid = Seq(1.0)))
+    others.foreach { o =>
+      assert(!(gp.f eq o.f))
+      Seq(0.0, 0.3, 0.5, 0.77, 1.2).foreach { v =>
+        val x = Array(v)
+        assert(gp.predictPair(o, x) == ((gp.predict(x), o.predict(x))))
+      }
+    }
   }
 
   test("fitAll equals a separate fit per target; predictPair equals two predicts") {
@@ -124,8 +132,8 @@ class GpSpec extends AnyFunSuite {
     val yss = Seq(smooth, xs.map(_ => r.nextGaussian()), smooth.map(y => 3.0 * y - 1.0))
     val together = Gp.fitAll(xs, yss, kOf, noise = 1e-3)
     val alone = yss.map(ys => Gp.fit(xs, ys, kOf, noise = 1e-3))
-    // GPs that selected the same lengthscale share its kernel instance.
-    val shared = for (a <- together; b <- together if a ne b) yield a.sharesKernel(b)
+    // GPs that selected the same lengthscale share its factor.
+    val shared = for (a <- together; b <- together if a ne b) yield a.f eq b.f
     assert(shared.contains(true) && shared.contains(false))
     (xs.take(3) ++ Array.fill(20)(point())).foreach { x =>
       together.zip(alone).foreach { case (t, a) => assert(t.predict(x) == a.predict(x)) }

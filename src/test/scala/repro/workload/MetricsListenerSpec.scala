@@ -28,7 +28,7 @@ class MetricsListenerSpec extends SparkSpec {
       HiBenchJobs.sortJob(spark, 0.003).collect()
     }
     val (_, scan) = MetricsListener.capture(spark) {
-      repro.SynthData.lineitem(spark, 0.003).select("l_orderkey").collect()
+      repro.SynthData.uniformKeys(spark, 18000, 6000).select("k").collect()
     }
     assert(shuffly(2) >= scan(2)) // shuffle-stage fraction
   }
@@ -38,7 +38,7 @@ class MetricsListenerSpec extends SparkSpec {
     spark.sparkContext.addSparkListener(l)
     spark.sparkContext.removeSparkListener(l)
     val before = l.vector.toSeq
-    repro.SynthData.customer(spark, 0.001).collect()
+    repro.SynthData.uniformKeys(spark, 150, 150).collect()
     Thread.sleep(300)
     assert(l.vector.toSeq == before)
   }

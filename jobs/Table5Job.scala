@@ -28,7 +28,7 @@ object Table5Job {
       val ys = configs.zipWithIndex.map { case (c, i) =>
         math.log(obj.value(sim.run(c, i)).max(1e-9))
       }
-      FAnova.importance(cs, configs, ys, nMc = 200, nGrid = 8, seed = seed + spec.seed)
+      FAnova.importance(cs, configs, ys, seed = seed + spec.seed)
     }
     val agg = FAnova.aggregate(results)
     agg.zipWithIndex

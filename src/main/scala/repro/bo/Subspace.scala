@@ -64,7 +64,7 @@ final class Subspace(cs: ConfigSpace,
     if (configs.size >= minHistoryForFanova && sinceRefit >= refitEvery) {
       sinceRefit = 0
       val res = fanova(configs, ys, seed)
-      // Normalize the fANOVA scores to the running-score scale and blend.
+      // Scale the fANOVA scores to the running-score scale (top = 1) and blend.
       val mx = res.single.max
       if (mx > 1e-12) {
         var i = 0
@@ -86,6 +86,8 @@ final class Subspace(cs: ConfigSpace,
     frozen = true
   }
 
+  /** fANOVA's marginal variances: the importance ranking and the scores
+    * relative to the top one, without the cost of the total variance. */
   private def fanova(configs: Seq[Config], ys: Seq[Double], seed: Long): FAnova.Result =
-    FAnova.importance(cs, configs, ys, nMc = 120, nGrid = 6, seed = seed)
+    FAnova.marginalVariances(cs, configs, ys, seed)
 }

@@ -84,7 +84,7 @@ class SubspaceSpec extends AnyFunSuite {
     val ys = configs.map(c => cs.toUnit(c)(iMem) * 10.0 + rng.nextDouble())
     (1 to 3).foreach(_ => s.observe(improved = true)) // resized before the freeze
     s.freeze(configs, ys, seed = 7)
-    val ranking = FAnova.importance(cs, configs, ys, nMc = 120, nGrid = 6, seed = 7).ranking
+    val ranking = FAnova.importance(cs, configs, ys, seed = 7).ranking
     assert(s.currentRanking == ranking)
     assert(s.size == 8)
     assert(s.freeDims == ranking.take(8).toSet)
@@ -93,5 +93,20 @@ class SubspaceSpec extends AnyFunSuite {
     s.maybeRefit(configs.reverse, ys.reverse.map(-_), seed = 8)
     assert(s.size == 8)
     assert(s.currentRanking == ranking)
+  }
+
+  test("the fANOVA ranking equals FAnova.importance's ranking on the same history") {
+    val rng = new Random(5)
+    val idx = Seq(SparkParams.ExecMemory, SparkParams.ExecCores, SparkParams.Instances).map(cs.indexOf)
+    (1 to 4).foreach { seed =>
+      val configs = Vector.fill(20 + 5 * seed)(cs.sampleRandom(rng))
+      val ys = configs.map { c =>
+        val u = cs.toUnit(c)
+        3.0 * u(idx(0)) + u(idx(1)) * u(idx(2)) + 0.1 * rng.nextDouble()
+      }
+      val s = new Subspace(cs, SparkParams.ExpertRanking)
+      s.freeze(configs, ys, seed.toLong)
+      assert(s.currentRanking == FAnova.importance(cs, configs, ys, seed.toLong).ranking, s"seed $seed")
+    }
   }
 }

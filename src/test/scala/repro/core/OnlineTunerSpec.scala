@@ -67,8 +67,8 @@ class OnlineTunerSpec extends AnyFunSuite {
     def digestAt(beta: Double): String =
       digest(session(Objective(beta).withConstraintsFrom(manualRt, sim.resource(manual)),
         TunerSettings(seed = 12)))
-    assert(digestAt(1.0) == "408f3091c518823ab2ec96457bd3d48e944d58b643a0503071cdfc56128857fb")
-    assert(digestAt(0.5) == "26adb75358e73a4c732512b57c2d87a59d9ce2a3962afa74d39760b877dbbce2")
+    assert(digestAt(1.0) == "c2fb6a56a684662ce4f2cef1938592bbcfebefcd0c6a13c2a9cfa3d12a05c786")
+    assert(digestAt(0.5) == "02c919417efc7aa8b017c3d1d447c67369034f0779b9910f65dc9b7efb2e06f8")
   }
 
   test("golden history: no data-size dim, meta ensemble and unbounded runtime sessions") {
@@ -81,8 +81,8 @@ class OnlineTunerSpec extends AnyFunSuite {
       session(objective, TunerSettings(seed = 15)).history.all)
     val meta = digest(session(objective, TunerSettings(seed = 16), Vector((src.surrogate, 0.8))))
     val unbounded = digest(session(Objective(0.5), TunerSettings(seed = 17)))
-    assert(noDs == "f8cb77168967a7266f561cd7a3579725d9398f34dde0b187725b5b62fa55d928")
-    assert(meta == "c9dcc169d73d76f468b16cdd1848fed87040b99e57f3b86504f2332d8474536d")
+    assert(noDs == "33d4741342190e06018690b805a4d1f7e830b833d4acad5ee79b757a3ba8357b")
+    assert(meta == "c168bc11c2f23d44e8b6f09fd25f80a2ac34cd65204113c72abd7121fbe5f2dc")
     assert(unbounded == "beaf288acc5e91337db6bcf2274274e83399fa89f4514ebde1ff63e73e6b5e37")
   }
 

@@ -1,9 +1,9 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Objective, OnlineTuner, TunerSettings}
-import repro.env.{FleetGen, SparkClusterSim, Workloads}
-import repro.space.{SparkParams => SP}
+import repro.core.{OnlineTuner, TunerSettings}
+import repro.env.Workloads
+import repro.jobs.HiBenchCompareJob
 
 /** §6.5 sub-space and AGD ablations.
   *
@@ -16,18 +16,13 @@ import repro.space.{SparkParams => SP}
   * regression allowed on one task, as the paper observed on NWeight).
   */
 class BenchSubspaceAgd extends AnyFunSuite {
-  private val cs = FleetGen.hibenchSpace
   private val Seeds = 3
 
   /** (best objective, mean objective over the session), seed-averaged.
     * The paper's Fig. 7(b) compares the *average cost during optimization*
     * — the metric where space reduction pays; best-found is Fig. 7(a). */
   private def costs(task: String, mutate: TunerSettings => TunerSettings): (Double, Double) = {
-    val spec = Workloads.byName(task)
-    val sim = new SparkClusterSim(spec, cs)
-    val default = SP.defaults(cs)
-    val defRt = sim.expectedRuntime(default, spec.inputGB)
-    val obj = Objective(0.5, tMax = 2.0 * defRt)
+    val (sim, default, obj) = HiBenchCompareJob.start(Workloads.byName(task), 0.5)
     val vals = (0 until Seeds).map { s =>
       val settings = mutate(TunerSettings(seed = 17 * s + 3))
       val h = new OnlineTuner(sim, obj, settings, Vector(default)).tune(30).history
@@ -85,16 +80,11 @@ class BenchSubspaceAgd extends AnyFunSuite {
 
   test("meta-learning ensemble accelerates early iterations (Figure 6 shape)") {
     // KMeans with a surrogate transferred from SVD (its similar source).
-    val spec = Workloads.KMeans
-    val sim = new SparkClusterSim(spec, cs)
-    val default = SP.defaults(cs)
-    val defRt = sim.expectedRuntime(default, spec.inputGB)
-    val obj = Objective(0.5, tMax = 2.0 * defRt)
-    val srcSim = new SparkClusterSim(Workloads.SVD, cs)
-    val srcObj = Objective(0.5, tMax = 2.0 * srcSim.expectedRuntime(default, Workloads.SVD.inputGB))
+    val (sim, default, obj) = HiBenchCompareJob.start(Workloads.KMeans, 0.5)
+    val (srcSim, _, srcObj) = HiBenchCompareJob.start(Workloads.SVD, 0.5)
     val srcHist = new OnlineTuner(srcSim, srcObj, TunerSettings(seed = 5),
       Vector(default)).tune(25).history
-    val src = repro.meta.SourceTask.fromHistory(cs, "svd",
+    val src = repro.meta.SourceTask.fromHistory(sim.cs, "svd",
       repro.meta.MetaFeatures.fromSpec(Workloads.SVD), srcHist.all)
     def bestAt10(meta: Boolean, seed: Long): Double = {
       val bases = if (meta) Vector((src.surrogate, 0.8)) else Vector.empty

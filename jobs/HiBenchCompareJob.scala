@@ -3,8 +3,8 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BaselineTuner, Baselines}
 import repro.core.Objective
-import repro.env.{FleetGen, SparkClusterSim, Workloads}
-import repro.space.{SparkParams => SP}
+import repro.env.{FleetGen, SparkClusterSim, WorkloadSpec, Workloads}
+import repro.space.{Config, SparkParams => SP}
 
 /** Reproduces Figures 4 & 5 in tabular form: speedup (runtime objective,
   * β=1) and cost reduction (β=0.5) of every method relative to random
@@ -21,15 +21,20 @@ object HiBenchCompareJob {
 
   val cs = FleetGen.hibenchSpace
 
+  /** The §6.3 starting point for `spec`: its simulator, the default
+    * configuration, and the objective with runtime constraint twice the
+    * default's noise-free runtime at the nominal data size. */
+  def start(spec: WorkloadSpec, beta: Double): (SparkClusterSim, Config, Objective) = {
+    val sim = new SparkClusterSim(spec, cs)
+    val default = SP.defaults(cs)
+    val defRt = sim.expectedRuntime(default, spec.inputGB)
+    (sim, default, Objective(beta = beta, tMax = 2.0 * defRt))
+  }
+
   /** Best observed objective value within the budget for one combination. */
   def runOne(task: String, method: String, beta: Double, seed: Long,
              budget: Int): Cell = {
-    val spec = Workloads.byName(task)
-    val sim = new SparkClusterSim(spec, cs)
-    val default = SP.defaults(cs)
-    // Runtime constraint: twice the default configuration's runtime (§6.3).
-    val defRt = sim.expectedRuntime(default, spec.inputGB)
-    val obj = Objective(beta = beta, tMax = 2.0 * defRt)
+    val (sim, default, obj) = start(Workloads.byName(task), beta)
     val tuner: BaselineTuner = Baselines.all.find(_.name == method)
       .getOrElse(throw new NoSuchElementException(method))
     val h = tuner.tune(sim, obj, budget, seed, Vector(default))

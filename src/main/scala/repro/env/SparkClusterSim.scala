@@ -68,11 +68,8 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
 
     // --- memory model -----------------------------------------------------
     val usableGB = (m - 0.3).max(0.3)                       // JVM/overhead reserve
-    val execMemPerTask = usableGB * memFrac * (1.0 - storFrac) / cc
     val storagePerExec = usableGB * memFrac * storFrac
-    val bytesPerShufTaskGB = ds * spec.shuffleFrac.max(0.05) / shufParts
-    val needGB = (bytesPerShufTaskGB * spec.memPerGBTask).max(0.05)
-    val pressure = needGB / execMemPerTask.max(1e-3)
+    val pressure = this.pressure(c, ds)
     val oom = pressure > 6.0
     // Spill: gentle until 1×, then linear slow-down, capped.
     val spillFactor =
@@ -172,19 +169,24 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
     if (oom) base * (2.5 + math.min(pressure, 10.0) * 0.2) else base
   }
 
-  /** Whether configuration `c` OOMs at data size `ds` (deterministic). */
-  def fails(c: Config, ds: Double): Boolean = {
+  /** Memory pressure of `c` at data size `ds`: the per-task shuffle
+    * working set over per-task execution memory. Above 1 the task
+    * spills; above 6 it OOMs. */
+  private def pressure(c: Config, ds: Double): Double = {
     val cc = cs.value(c, SP.ExecCores)
     val m  = cs.value(c, SP.ExecMemory)
     val memFrac  = cs.value(c, SP.MemoryFraction)
     val storFrac = cs.value(c, SP.StorageFraction)
     val par = if (spec.sql) cs.value(c, SP.ShufflePartitions) else cs.value(c, SP.Parallelism)
-    val usableGB = (m - 0.3).max(0.3)
+    val usableGB = (m - 0.3).max(0.3)                       // JVM/overhead reserve
     val execMemPerTask = usableGB * memFrac * (1.0 - storFrac) / cc
     val bytesPerShufTaskGB = ds * spec.shuffleFrac.max(0.05) / par.max(1.0)
     val needGB = (bytesPerShufTaskGB * spec.memPerGBTask).max(0.05)
-    needGB / execMemPerTask.max(1e-3) > 6.0
+    needGB / execMemPerTask.max(1e-3)
   }
+
+  /** Whether configuration `c` OOMs at data size `ds` (deterministic). */
+  def fails(c: Config, ds: Double): Boolean = pressure(c, ds) > 6.0
 
   private val instancesDim = cs.indexOf(SP.Instances)
   private val coresDim = cs.indexOf(SP.ExecCores)

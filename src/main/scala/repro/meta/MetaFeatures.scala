@@ -6,16 +6,10 @@ import repro.env.WorkloadSpec
   *
   * The paper extracts 75 features from the SparkEventLog: 11 stage-level
   * (which actions/transformations appear) and 64 task-level (read/write/
-  * CPU/shuffle intensity statistics). Two sources exist here:
-  *
-  *  - [[repro.workload.MetricsListener]] builds the vector from *real*
-  *    Spark executions of the HiBench-lite jobs (stage/task metrics via a
-  *    SparkListener — the local stand-in for parsing the event log file);
-  *  - [[fromSpec]] derives the vector analytically for simulated
-  *    workloads, so the similarity pipeline runs on the full benchmark
-  *    set without a cluster.
-  *
-  * Both produce the same 75-dim layout.
+  * CPU/shuffle intensity statistics). Here [[fromSpec]] derives the same
+  * 75-dim layout analytically from a simulated workload's spec, so the
+  * similarity pipeline runs on the full benchmark set without a cluster;
+  * extraction from real event logs is not reproduced.
   */
 object MetaFeatures {
 
@@ -25,8 +19,8 @@ object MetaFeatures {
 
   /** Deterministic 75-dim meta-feature vector for a simulated workload.
     * Stage-level slots encode DAG shape / operator mix; task-level slots
-    * encode intensity ratios, with smooth redundant expansions (the real
-    * listener also emits many correlated statistics). */
+    * encode intensity ratios, with smooth redundant expansions (event-log
+    * statistics are likewise many and correlated). */
   def fromSpec(spec: WorkloadSpec): Array[Double] = {
     val out = new Array[Double](Dim)
     // --- stage-level (11): DAG structure and operator families ----------

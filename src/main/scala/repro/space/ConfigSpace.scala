@@ -160,23 +160,6 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   def sampleLowDiscrepancy(n: Int, seed: Long = 0L): Vector[Config] =
     LowDiscrepancy.halton(n, dim, seed).map(fromUnit)
 
-  /** Gaussian perturbation of `c` in unit space (local-search moves).
-    * Categorical dims resample with probability `pCat`. */
-  def perturb(c: Config, rng: Random, sigma: Double = 0.1, pCat: Double = 0.2): Config = {
-    val u = toUnit(c)
-    val out = new Array[Double](dim)
-    var i = 0
-    while (i < dim) {
-      out(i) = params(i) match {
-        case CatParam(_, cs) =>
-          if (rng.nextDouble() < pCat) rng.nextInt(cs.size).toDouble else u(i)
-        case _ => (u(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
-      }
-      i += 1
-    }
-    fromUnit(out)
-  }
-
   /** Perturb only the dims in `free`, pinning the rest to `anchor` —
     * TuRBO-style local exploration inside the sub-space. */
   def perturbInSubspace(anchor: Config, free: Set[Int], rng: Random,

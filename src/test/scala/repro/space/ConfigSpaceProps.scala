@@ -34,7 +34,7 @@ object ConfigSpaceProps extends Properties("ConfigSpace") {
     Prop.forAll(Gen.choose(0L, 1000L)) { seed =>
       val rng = new scala.util.Random(seed)
       val c = cs.sampleRandom(rng)
-      val p = cs.perturb(c, rng, sigma = 0.0, pCat = 0.0)
+      val p = cs.perturbInSubspace(c, (0 until cs.dim).toSet, rng, sigma = 0.0, pCat = 0.0)
       (0 until cs.dim).forall { i =>
         cs.isCat(i) || math.abs(p(i) - c(i)) <= math.abs(c(i)) * 0.02 + 1.0
       }

@@ -147,7 +147,7 @@ class ConfigSpaceSpec extends AnyFunSuite {
   test("perturb keeps configs legal and near the anchor") {
     val c = SparkParams.defaults(cs)
     (0 until 20).foreach { _ =>
-      val p = cs.perturb(c, rng, sigma = 0.05)
+      val p = cs.perturbInSubspace(c, (0 until cs.dim).toSet, rng, sigma = 0.05)
       assert(cs.clip(p) == p)
     }
   }

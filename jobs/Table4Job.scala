@@ -28,7 +28,7 @@ object Table4Job {
 
   /** Evaluation cost of `c` on the target workload (noise-free data size,
     * mean of 3 seeded runs). */
-  private def cost(sim: SparkClusterSim, obj: Objective, c: Config): Double = {
+  private def cost(sim: SparkClusterSim, c: Config): Double = {
     val rs = (0 until 3).map(i => sim.run(c, 100 + i))
     // Reported execution cost is the product T·R (§3.2), as in Table 4.
     rs.map(r => r.runtimeSec * r.resource).sum / rs.size
@@ -52,9 +52,9 @@ object Table4Job {
         .sortBy(_.objective).map(_.config).distinct.take(3)
 
       val tgtSim = new SparkClusterSim(Workloads.byName(targetName), cs)
-      val costs = top3.map(c => cost(tgtSim, obj, c))
+      val costs = top3.map(c => cost(tgtSim, c))
       Row(targetName, sourceName,
-        cost(tgtSim, obj, defaultConfig), cost(tgtSim, obj, manualConfig),
+        cost(tgtSim, defaultConfig), cost(tgtSim, manualConfig),
         costs.lift(0).getOrElse(Double.NaN),
         costs.lift(1).getOrElse(Double.NaN),
         costs.lift(2).getOrElse(Double.NaN))

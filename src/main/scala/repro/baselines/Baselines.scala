@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.util.Random
-import repro.core.{Objective, Observation, OnlineTuner, RunHistory, TunerSettings}
+import repro.core.{Controller, Objective, OnlineTuner, RunHistory, TunerSettings}
 import repro.env.SparkClusterSim
 import repro.model.{Gbdt, RandomForest}
 import repro.space.{Config, ConfigSpace}
@@ -20,12 +20,6 @@ trait BaselineTuner {
 }
 
 private object BaselineUtil {
-  def observe(sim: SparkClusterSim, objective: Objective, h: RunHistory,
-              c: Config, iter: Int): Unit = {
-    val r = sim.run(c, iter)
-    h.add(Observation(c, r, objective.value(r), objective.feasible(r), iter))
-  }
-
   /** Simple generational GA over unit space searching `fitness` (lower is
     * better) — the search engine of RFHOC [7] and DAC [79]. `fitness` must
     * be pure: each config is scored once, and elites carry their score into
@@ -64,12 +58,7 @@ final class RandomSearch extends BaselineTuner {
   def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
            init: Vector[Config]): RunHistory = {
     val rng = new Random(seed)
-    val h = new RunHistory
-    (0 until budget).foreach { i =>
-      val c = if (i < init.size) init(i) else sim.cs.sampleRandom(rng)
-      BaselineUtil.observe(sim, objective, h, c, i)
-    }
-    h
+    Controller.run((_, _) => Some(sim.cs.sampleRandom(rng)), sim, objective, budget, init).history
   }
 }
 
@@ -89,23 +78,17 @@ final class ModelGaTuner(val name: String, withDataSize: Boolean,
            init: Vector[Config]): RunHistory = {
     val cs = sim.cs
     val rng = new Random(seed)
-    val h = new RunHistory
     def enc(c: Config, ds: Double): Array[Double] =
       if (withDataSize) cs.toUnit(c) :+ sim.spec.dataSizeUnit(ds) else cs.toUnit(c)
-    (0 until budget).foreach { it =>
-      val c =
-        if (it < init.size) init(it)
-        else if (it < init.size + 6) cs.sampleRandom(rng) // sample-collection phase
-        else {
-          val model = fit(h.all.map(o => enc(o.config, o.result.dataSizeGB)).toArray,
-            h.all.map(o => math.log(o.objective.max(1e-9))).toArray, seed + it)
-          val nextDs = sim.spec.dataSizeAt(it)
-          val seedPop = h.all.sortBy(_.objective).take(5).map(_.config).toVector
-          BaselineUtil.gaSearch(cs, seedPop, cc => model(enc(cc, nextDs)), rng)
-        }
-      BaselineUtil.observe(sim, objective, h, c, it)
-    }
-    h
+    def suggest(h: RunHistory, nextDs: Double): Option[Config] = Some(
+      if (h.size < init.size + 6) cs.sampleRandom(rng) // sample-collection phase
+      else {
+        val model = fit(h.all.map(o => enc(o.config, o.result.dataSizeGB)).toArray,
+          h.all.map(o => math.log(o.objective.max(1e-9))).toArray, seed + h.size)
+        val seedPop = h.all.sortBy(_.objective).take(5).map(_.config)
+        BaselineUtil.gaSearch(cs, seedPop, cc => model(enc(cc, nextDs)), rng)
+      })
+    Controller.run(suggest, sim, objective, budget, init).history
   }
 }
 

@@ -57,11 +57,16 @@ final class RunHistory extends Serializable {
 
   /** Best (lowest-objective) feasible observation, if any; otherwise the
     * best overall (the controller still has to answer config requests). */
-  def best: Option[Observation] = {
-    val feas = obs.filter(_.feasible)
-    val pool = if (feas.nonEmpty) feas else obs
-    if (pool.isEmpty) None else Some(pool.minBy(_.objective))
-  }
+  def best: Option[Observation] = RunHistory.ranked(obs).headOption
 
   def bestObjective: Double = best.map(_.objective).getOrElse(Double.PositiveInfinity)
+}
+
+object RunHistory {
+  /** The feasible observations, or all of them when none is feasible,
+    * best objective first (a stable sort: ties keep history order). */
+  def ranked(obs: Vector[Observation]): Vector[Observation] = {
+    val feas = obs.filter(_.feasible)
+    (if (feas.nonEmpty) feas else obs).sortBy(_.objective)
+  }
 }

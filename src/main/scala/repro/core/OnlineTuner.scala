@@ -42,13 +42,9 @@ final case class TunerSettings(
     stopEi: Double = 0.0,            // >0 enables the §3.3 stopping criterion
     seed: Long = 0L)
 
-/** Outcome of a tuning session. */
-final case class TuneOutcome(history: RunHistory, stoppedAt: Option[Int])
-
-/** The OnlineTune controller (§3.1): orchestrates the per-execution tuning
-  * loop against a (simulated) data platform.
-  *
-  * Each call to the platform = one periodic production run of the job; no
+/** The OnlineTune controller (§3.1). One instance is one tuning session
+  * against a (simulated) data platform: `Controller.run` asks it for each
+  * periodic production run's configuration and tells it the outcome; no
   * offline evaluations happen anywhere (the online paradigm, C.2).
   *
   * Surrogates are fit on log-runtime / log-objective: both are positive
@@ -59,11 +55,22 @@ final class OnlineTuner(sim: SparkClusterSim,
                         objective: Objective,
                         settings: TunerSettings = TunerSettings(),
                         warmStart: Vector[Config] = Vector.empty,
-                        metaBases: Vector[(Surrogate, Double)] = Vector.empty) {
+                        metaBases: Vector[(Surrogate, Double)] = Vector.empty) extends Controller {
 
   private val cs: ConfigSpace = sim.cs
   private val rng = new Random(settings.seed)
   private val safeRegion = new SafeRegion(settings.gamma)
+
+  val subspace = new Subspace(cs, SparkParams.ExpertRanking,
+    kInit = settings.kInit, kMin = settings.kMin,
+    tauSucc = settings.tauSucc, tauFail = settings.tauFail)
+  val agd = new Agd(cs, objective.beta, sim.resource, eta = settings.agdEta)
+  /** Run before any suggestion: the warm starts, then low-discrepancy
+    * samples up to `nInit` runs. */
+  val initConfigs: Vector[Config] = {
+    val lds = cs.sampleLowDiscrepancy(settings.nInit, settings.seed)
+    (warmStart ++ lds).take(settings.nInit.max(warmStart.size))
+  }
 
   /** Unit-encode a config, appending the normalized data size when the
     * datasize-aware surrogate is enabled (§3.3 Dynamic Workload Support). */
@@ -102,63 +109,30 @@ final class OnlineTuner(sim: SparkClusterSim,
     if (taus.isEmpty) 0.3 else (((taus.sum / taus.size) + 1.0) / 2.0).max(0.1)
   }
 
-  /** Run the online tuning session for `budget` production executions.
-    *
-    * @param startIter index of the first production run (data-size drift
-    *                  phase); lets callers model pre-tuning manual runs.
-    */
-  def tune(budget: Int, startIter: Int = 0): TuneOutcome = {
-    val history = new RunHistory
-    val subspace = new Subspace(cs, SparkParams.ExpertRanking,
-      kInit = settings.kInit, kMin = settings.kMin,
-      tauSucc = settings.tauSucc, tauFail = settings.tauFail)
-    val agd = new Agd(cs, objective.beta, sim.resource, eta = settings.agdEta)
-    val initConfigs: Vector[Config] = {
-      val lds = cs.sampleLowDiscrepancy(settings.nInit, settings.seed)
-      (warmStart ++ lds).take(settings.nInit.max(warmStart.size))
-    }
-    var stoppedAt: Option[Int] = None
+  /** Run the online tuning session for `budget` production executions
+    * (see `Controller.run` for `startIter`). */
+  def tune(budget: Int, startIter: Int = 0): TuneOutcome =
+    Controller.run(this, sim, objective, budget, initConfigs, startIter)
 
+  override def observe(history: RunHistory, improved: Boolean): Unit = {
+    val n = history.size
     def logYs = history.all.map(o => math.log(o.objective.max(1e-9)))
-
-    var it = 0
-    while (it < budget && stoppedAt.isEmpty) {
-      if (settings.useSubspace && settings.freezeSubspaceAt > 0 && it == settings.freezeSubspaceAt)
-        subspace.freeze(history.all.map(_.config), logYs, settings.seed + it)
-      val globalIter = startIter + it
-      val nextDs = sim.spec.dataSizeAt(globalIter)
-      val config: Config =
-        if (it < initConfigs.size) initConfigs(it)
-        else suggest(history, subspace, agd, nextDs, it) match {
-          case Right(c) => c
-          case Left(maxEi) => // stopping criterion fired
-            stoppedAt = Some(it)
-            history.best.map(_.config).getOrElse(initConfigs.head)
-        }
-      if (stoppedAt.isEmpty) {
-        val result = sim.run(config, globalIter)
-        val y = objective.value(result)
-        val improved = y < history.bestObjective && objective.feasible(result)
-        history.add(Observation(config, result, y, objective.feasible(result), globalIter))
-        // AGD iterations are not sub-space proposals — the TuRBO-style
-        // streak counters only track the BO acquisitions (§4.1).
-        val wasAgd = settings.useAgd && (history.size % settings.nAgd == 0)
-        if (!wasAgd && it >= initConfigs.size) subspace.observe(improved)
-        // The ranking is only read when the sub-space is on, and a frozen
-        // sub-space replaces it wholesale; fANOVA draws from its own seed,
-        // so skipping it leaves the history unchanged.
-        if (settings.useSubspace && settings.freezeSubspaceAt == 0)
-          subspace.maybeRefit(history.all.map(_.config), logYs, settings.seed + it)
-      }
-      it += 1
-    }
-    TuneOutcome(history, stoppedAt)
+    // AGD iterations are not sub-space proposals — the TuRBO-style
+    // streak counters only track the BO acquisitions (§4.1).
+    val wasAgd = settings.useAgd && (n % settings.nAgd == 0)
+    if (!wasAgd && n > initConfigs.size) subspace.observe(improved)
+    // The ranking is only read when the sub-space is on, and a frozen
+    // sub-space replaces it wholesale; fANOVA draws from its own seed,
+    // so skipping it leaves the history unchanged.
+    if (settings.useSubspace && settings.freezeSubspaceAt == 0)
+      subspace.maybeRefit(history.all.map(_.config), logYs, settings.seed + n - 1)
+    if (settings.useSubspace && n == settings.freezeSubspaceAt)
+      subspace.freeze(history.all.map(_.config), logYs, settings.seed + n)
   }
 
-  /** Algorithm 2: one configuration suggestion. Returns Left(maxEI) when
-    * the stopping criterion fires (§3.3). */
-  private def suggest(history: RunHistory, subspace: Subspace, agd: Agd,
-                      nextDs: Double, it: Int): Either[Double, Config] = {
+  /** Algorithm 2: one configuration suggestion for a run on `dsGB` GB of input.
+    * `None` when the stopping criterion fires (§3.3). */
+  def suggest(history: RunHistory, dsGB: Double): Option[Config] = {
     val obs = history.all
     val xs = obs.map(o => encode(o.config, o.result.dataSizeGB)).toArray
     val yObj = obs.map(o => math.log(o.objective.max(1e-9))).toArray
@@ -178,7 +152,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     val best = history.best.getOrElse(obs.minBy(_.objective))
     val yBestLog = math.log(best.objective.max(1e-9))
     val dsExtra = if (settings.useDataSize)
-      Array(sim.spec.dataSizeUnit(nextDs)) else Array.empty[Double]
+      Array(sim.spec.dataSizeUnit(dsGB)) else Array.empty[Double]
 
     // --- AGD branch (every N_AGD iterations; Algorithm 2 lines 2–4) -----
     if (settings.useAgd && (obs.size + 1) % settings.nAgd == 0) {
@@ -188,20 +162,16 @@ final class OnlineTuner(sim: SparkClusterSim,
           Pred(math.exp(p.mean), p.variance)
         }
       }
-      return Right(cs.clip(agd.step(best.config, rtForAgd, dsExtra)))
+      return Some(cs.clip(agd.step(best.config, rtForAgd, dsExtra)))
     }
 
     // --- BO branch: sub-space ∩ safe region, EIC argmax (lines 6–8) ----
     // Non-subspace dims are pinned to an anchor; using the top-3 configs
     // (not just the incumbent) as anchors avoids locking a pathological
     // pinned value in place for the rest of the session.
-    val anchors: Vector[Config] = {
-      val feas = obs.filter(_.feasible)
-      val pool = if (feas.nonEmpty) feas else obs
-      pool.sortBy(_.objective).map(_.config).distinct.take(3)
-    }
+    val anchors: Vector[Config] = RunHistory.ranked(obs).map(_.config).distinct.take(3)
     val free: Set[Int] =
-      if (settings.useSubspace && it >= settings.freezeSubspaceAt) subspace.freeDims
+      if (settings.useSubspace && obs.size >= settings.freezeSubspaceAt) subspace.freeDims
       else (0 until cs.dim).toSet
     val candidates: Vector[Config] = {
       // TuRBO-style mixture inside the sub-space: uniform coverage of the
@@ -220,7 +190,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     val logTMax = math.log(objective.tMax)
     val readsRt = (settings.useSafety || settings.useEic) && !objective.tMax.isPosInfinity
     val scored = candidates.map { c =>
-      val x = encode(c, nextDs)
+      val x = encode(c, dsGB)
       val (pObj, pRt) =
         if (!readsRt) { val p = objSurrogate.predict(x); (p, p) }
         else if (objSurrogate eq gpObjLocal) gpObjLocal.predictPair(gpRt, x)
@@ -251,9 +221,8 @@ final class OnlineTuner(sim: SparkClusterSim,
       (c, Acquisition.eic(pObj, yBestLog, if (useEic) Seq((pRt, logTMax)) else Nil))
     }
     val (bestCand, maxEic) = withEic.maxBy(_._2)
-    if (settings.stopEi > 0 && obs.size > settings.nInit && maxEic < settings.stopEi)
-      Left(maxEic)
-    else Right(bestCand)
+    if (settings.stopEi > 0 && obs.size > settings.nInit && maxEic < settings.stopEi) None
+    else Some(bestCand)
   }
 
   /** §3.3 restarting criterion: continuous degradation — the incumbent's

@@ -27,6 +27,12 @@ object TuningService {
   /** Number of manual executions averaged for the pre/post windows. */
   val Window = 5
 
+  /** Mean runtime, memory and CPU of a window of runs. */
+  private def means(rs: Seq[RunResult]): (Double, Double, Double) = {
+    def mean(f: RunResult => Double) = rs.map(f).sum / rs.size
+    (mean(_.runtimeSec), mean(_.memUsageGBh), mean(_.cpuUsageCoreH))
+  }
+
   /** The production recipe: `Window` runs of the periodic job under the
     * engineers' manual config, then `budget` online-tuned runs with
     * objective = execution cost (β=0.5) and constraints = 2× the manual
@@ -37,7 +43,7 @@ object TuningService {
                          warmStart: Vector[Config]): (SparkClusterSim, Seq[RunResult], RunHistory) = {
     val sim = new SparkClusterSim(task.spec, FleetGen.prodSpace)
     val pre = (0 until Window).map(i => sim.run(task.manual, i))
-    val preRt = pre.map(_.runtimeSec).sum / Window
+    val preRt = means(pre)._1
     val manualRes = sim.resource(task.manual)
     val objective = Objective(beta = 0.5).withConstraintsFrom(preRt, manualRes)
 
@@ -67,25 +73,18 @@ object TuningService {
               warmStart: Vector[Config] = Vector.empty): FleetRow = {
     val cs = FleetGen.prodSpace
     val (sim, pre, hist) = tuneOnline(task, budget, settings, warmStart)
-    val preRt = pre.map(_.runtimeSec).sum / Window
-    val preMem = pre.map(_.memUsageGBh).sum / Window
-    val preCpu = pre.map(_.cpuUsageCoreH).sum / Window
+    val (preRt, preMem, preCpu) = means(pre)
     // Reported "execution cost" is the paper's product T·R (the β=0.5
     // objective √(T·R) has the same minimizer; §3.2).
     val preCost = preRt * sim.resource(task.manual)
 
-    val under = hist.all.map(_.result)
-    val underRt = under.map(_.runtimeSec).sum / under.size
-    val underMem = under.map(_.memUsageGBh).sum / under.size
-    val underCpu = under.map(_.cpuUsageCoreH).sum / under.size
+    val (underRt, underMem, underCpu) = means(hist.all.map(_.result))
 
     // Post-tuning: best-found config applied to subsequent executions.
     val best = hist.best.getOrElse(hist.all.minBy(_.objective))
     val postStart = Window + budget
     val post = (0 until Window).map(i => sim.run(best.config, postStart + i))
-    val postRt = post.map(_.runtimeSec).sum / Window
-    val postMem = post.map(_.memUsageGBh).sum / Window
-    val postCpu = post.map(_.cpuUsageCoreH).sum / Window
+    val (postRt, postMem, postCpu) = means(post)
     val postCost = postRt * sim.resource(best.config)
 
     val bestIter = hist.all.indexWhere(_.objective == best.objective) + 1

@@ -69,8 +69,6 @@ object TaskSimilarity {
   final class DistanceModel(model: Gbdt) extends Serializable {
     def distance(v1: Array[Double], v2: Array[Double]): Double =
       model.predict(pairFeatures(v1, v2)).max(0.0).min(1.0)
-    def similarity(v1: Array[Double], v2: Array[Double]): Double =
-      1.0 - distance(v1, v2)
   }
 
   /** Train M_reg from (meta-features, surrogate) pairs of previous tasks:

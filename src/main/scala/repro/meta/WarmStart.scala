@@ -1,6 +1,6 @@
 package repro.meta
 
-import repro.core.Observation
+import repro.core.{Observation, RunHistory}
 import repro.space.{Config, ConfigSpace}
 import repro.surrogate.{Gp, MixedKernel, Surrogate}
 import repro.meta.TaskSimilarity.DistanceModel
@@ -39,11 +39,8 @@ object WarmStart {
     * best Spark configuration found in these top-3 tasks"). */
   def initialConfigs(model: DistanceModel, targetMeta: Array[Double],
                      sources: Seq[SourceTask], top: Int = 3): Vector[Config] =
-    similarSources(model, targetMeta, sources, top).flatMap { case (s, _) =>
-      val feas = s.history.filter(_.feasible)
-      val pool = if (feas.nonEmpty) feas else s.history
-      if (pool.isEmpty) None else Some(pool.minBy(_.objective).config)
-    }.toVector
+    similarSources(model, targetMeta, sources, top)
+      .flatMap { case (s, _) => RunHistory.ranked(s.history).headOption.map(_.config) }.toVector
 
   /** Base surrogates + similarity weights wᵢ = 1 − Dist(Mⁱ, Mᵗ) for the
     * ensemble of Eq. 12 (normalization happens inside MetaEnsemble). */

@@ -2,16 +2,13 @@ package repro.baselines
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Objective
-import repro.env.{FleetGen, SparkClusterSim, Workloads}
-import repro.space.{Config, ConfigSpace, SparkParams => SP}
+import repro.env.{FleetGen, Workloads}
+import repro.jobs.HiBenchCompareJob
+import repro.space.{Config, ConfigSpace}
 
 class BaselinesSpec extends AnyFunSuite {
-  private val cs = FleetGen.hibenchSpace
-  private val sim = new SparkClusterSim(Workloads.WordCount, cs)
-  private val default = SP.defaults(cs)
-  private val defRt = sim.expectedRuntime(default, Workloads.WordCount.inputGB)
-  private val obj = Objective(0.5, tMax = 2.0 * defRt)
+  private val cs = HiBenchCompareJob.cs
+  private val (sim, default, obj) = HiBenchCompareJob.start(Workloads.WordCount, 0.5)
 
   test("all §6.3 methods are present, names unique, ours included") {
     val names = Baselines.all.map(_.name)
@@ -79,9 +76,8 @@ class BaselinesSpec extends AnyFunSuite {
   // SHA-256 over the raw bits of every config value and objective of a
   // 30-iteration TeraSort session, in history order, as in OnlineTunerSpec.
   private def digest(name: String, beta: Double): String = {
-    val tsim = new SparkClusterSim(Workloads.TeraSort, cs)
-    val tRt = tsim.expectedRuntime(default, Workloads.TeraSort.inputGB)
-    val h = byName(name).tune(tsim, Objective(beta, tMax = 2.0 * tRt), 30, 13, Vector(default))
+    val (tsim, tDefault, tObj) = HiBenchCompareJob.start(Workloads.TeraSort, beta)
+    val h = byName(name).tune(tsim, tObj, 30, 13, Vector(tDefault))
     assert(h.size == 30)
     val buf = java.nio.ByteBuffer.allocate(h.all.map(_.config.values.size + 1).sum * 8)
     h.all.foreach { o =>
@@ -90,6 +86,11 @@ class BaselinesSpec extends AnyFunSuite {
     }
     java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
       .map(x => f"${x & 0xff}%02x").mkString
+  }
+
+  test("golden histories: RandomSearch on TeraSort hashes to recorded digests") {
+    assert(digest("RandomSearch", 1.0) == "d251cc4f377e38ced6af2d999989bfb9b5e8d000f8d534b2c05a7a25cd2b3f5a")
+    assert(digest("RandomSearch", 0.5) == "d53417565ddb58a433a9b00185d847894163985b7cc1e8206f5a08006b34b161")
   }
 
   test("golden histories: RFHOC and DAC on TeraSort hash to recorded digests") {

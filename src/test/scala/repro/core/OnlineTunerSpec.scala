@@ -71,6 +71,23 @@ class OnlineTunerSpec extends AnyFunSuite {
     assert(digestAt(0.5) == "02c919417efc7aa8b017c3d1d447c67369034f0779b9910f65dc9b7efb2e06f8")
   }
 
+  test("a session driven by hand through suggest/observe matches tune") {
+    val settings = TunerSettings(seed = 12)
+    val tuner = new OnlineTuner(sim, objective, settings, Vector(manual))
+    val h = new RunHistory
+    (0 until 30).foreach { it =>
+      val config =
+        if (it < tuner.initConfigs.size) tuner.initConfigs(it)
+        else tuner.suggest(h, sim.spec.dataSizeAt(it)).get
+      val result = sim.run(config, it)
+      val y = objective.value(result)
+      val improved = objective.feasible(result) && y < h.bestObjective
+      h.add(Observation(config, result, y, objective.feasible(result), it))
+      tuner.observe(h, improved)
+    }
+    assert(digest(TuneOutcome(h, None)) == digest(session(objective, settings)))
+  }
+
   test("golden history: no data-size dim, meta ensemble and unbounded runtime sessions") {
     // Paths the default sessions miss: a kernel without an SE column, the
     // Eq. 12 ensemble over a source-task GP, and β = 0.5 with T_max = ∞,

@@ -30,10 +30,12 @@ class TuningServiceSpec extends SparkSpec {
   }
 
   test("tuneFleet runs as a Spark Dataset job over a small fleet") {
-    val rows = TuningService.tuneFleet(spark, FleetGen.fleet(4, seed = 12),
-      budget = 8, withMeta = false).collect()
+    val tasks = FleetGen.fleet(4, seed = 12)
+    val rows = TuningService.tuneFleet(spark, tasks, budget = 8, withMeta = false).collect()
     assert(rows.length == 4)
     rows.foreach(r => assert(r.preRuntime > 0 && r.postRuntime > 0))
+    // Each row depends on its task alone, not on the job's partitioning.
+    assert(rows.sortBy(_.name).toSeq == tasks.sortBy(_.name).map(TuningService.tuneOne(_, 8)))
   }
 
   test("buildKnowledgeBase yields sources with surrogates and a distance model") {

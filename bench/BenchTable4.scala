@@ -40,7 +40,7 @@ class BenchTable4 extends AnyFunSuite {
   test("warm-start transfers multiple configs because Top1 is not always best") {
     // At least the phenomenon is representable: report which rank won.
     val winners = rows.map(r => Seq(r.top1, r.top2, r.top3).zipWithIndex.minBy(_._1)._2 + 1)
-    println(s"Winning transferred rank per pair: ${winners.mkString(", ")}")
+    info(s"Winning transferred rank per pair: ${winners.mkString(", ")}")
     assert(winners.forall(w => w >= 1 && w <= 3))
   }
 }

@@ -14,10 +14,8 @@ import repro.env.FleetGen
   */
 object Table3Job {
 
-  def run(spark: SparkSession, n: Int, withMeta: Boolean = true)
-      : (TuningService.Table3, Seq[repro.core.FleetRow]) = {
-    val rows = TuningService.tuneFleet(spark, FleetGen.fleet(n), budget = 20,
-      withMeta = withMeta).collect().toSeq
+  def run(spark: SparkSession, n: Int): (TuningService.Table3, Seq[repro.core.FleetRow]) = {
+    val rows = TuningService.tuneFleet(spark, FleetGen.fleet(n), budget = 20).collect().toSeq
     (TuningService.aggregate(rows), rows)
   }
 

@@ -87,27 +87,19 @@ final class OnlineTuner(sim: SparkClusterSim,
     MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
       numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
 
-  private def fitGp(xs: Array[Array[Double]], ys: Array[Double]): Gp =
-    Gp.fit(xs, ys, kernelOf, noise = 1e-3)
-
-  /** Cross-validation weight of the current-task surrogate in the Eq. 12
-    * ensemble [25]: mean held-out rank agreement, floored for cold start. */
-  private def currentTaskWeight(xs: Array[Array[Double]], ys: Array[Double]): Double = {
-    if (xs.length < 6) return 0.3
-    val folds = 3
-    val taus = (0 until folds).flatMap { f =>
-      val hold = xs.indices.filter(_ % folds == f)
-      val train = xs.indices.filterNot(_ % folds == f)
-      if (hold.size < 2 || train.size < 2) None
-      else {
-        val gp = fitGp(train.map(xs).toArray, train.map(ys).toArray)
-        val pred = hold.map(i => gp.predict(xs(i)).mean)
-        val act = hold.map(ys)
-        Some(TaskSimilarity.kendallTau(pred, act))
-      }
+  /** Weight of the current-task surrogate in the Eq. 12 ensemble [25]:
+    * rank agreement of its leave-one-out means with the targets, floored
+    * for cold start. The means come in closed form from the fit itself. */
+  private def currentTaskWeight(gp: Gp, ys: Array[Double]): Double =
+    if (ys.length < 6) 0.3
+    else {
+      val r = gp.looResiduals
+      val loo = ys.indices.map(i => ys(i) - r(i))
+      ((TaskSimilarity.kendallTau(loo, ys) + 1.0) / 2.0).max(0.1)
     }
-    if (taus.isEmpty) 0.3 else (((taus.sum / taus.size) + 1.0) / 2.0).max(0.1)
-  }
+
+  /** Whether the session's run number `r` (1-based) is an AGD step. */
+  private def isAgdRun(r: Int): Boolean = settings.useAgd && r % settings.nAgd == 0
 
   /** Run the online tuning session for `budget` production executions
     * (see `Controller.run` for `startIter`). */
@@ -119,8 +111,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     def logYs = history.all.map(o => math.log(o.objective.max(1e-9)))
     // AGD iterations are not sub-space proposals — the TuRBO-style
     // streak counters only track the BO acquisitions (§4.1).
-    val wasAgd = settings.useAgd && (n % settings.nAgd == 0)
-    if (!wasAgd && n > initConfigs.size) subspace.observe(improved)
+    if (!isAgdRun(n) && n > initConfigs.size) subspace.observe(improved)
     // The ranking is only read when the sub-space is on, and a frozen
     // sub-space replaces it wholesale; fANOVA draws from its own seed,
     // so skipping it leaves the history unchanged.
@@ -141,21 +132,14 @@ final class OnlineTuner(sim: SparkClusterSim,
     // One factorisation per grid lengthscale serves both GPs; the runtime
     // GP then costs only its own triangular solves, read or not.
     val Vector(gpObjLocal, gpRt) = Gp.fitAll(xs, Seq(yObj, yRt), kernelOf, noise = 1e-3)
-    val objSurrogate: Surrogate =
-      if (metaBases.isEmpty) gpObjLocal
-      else {
-        val wCur = currentTaskWeight(xs, yObj)
-        new MetaEnsemble((metaBases.map(_._1) :+ gpObjLocal),
-                         (metaBases.map(_._2) :+ wCur))
-      }
 
-    val best = history.best.getOrElse(obs.minBy(_.objective))
+    val best = history.best.get
     val yBestLog = math.log(best.objective.max(1e-9))
     val dsExtra = if (settings.useDataSize)
       Array(sim.spec.dataSizeUnit(dsGB)) else Array.empty[Double]
 
     // --- AGD branch (every N_AGD iterations; Algorithm 2 lines 2–4) -----
-    if (settings.useAgd && (obs.size + 1) % settings.nAgd == 0) {
+    if (isAgdRun(obs.size + 1)) {
       val rtForAgd = new Surrogate { // expose runtime on the natural scale
         def predict(x: Array[Double]): Pred = {
           val p = gpRt.predict(x)
@@ -166,6 +150,11 @@ final class OnlineTuner(sim: SparkClusterSim,
     }
 
     // --- BO branch: sub-space ∩ safe region, EIC argmax (lines 6–8) ----
+    val objSurrogate: Surrogate =
+      if (metaBases.isEmpty) gpObjLocal
+      else new MetaEnsemble(metaBases.map(_._1) :+ gpObjLocal,
+                            metaBases.map(_._2) :+ currentTaskWeight(gpObjLocal, yObj))
+
     // Non-subspace dims are pinned to an anchor; using the top-3 configs
     // (not just the incumbent) as anchors avoids locking a pathological
     // pinned value in place for the rest of the session.

@@ -81,7 +81,7 @@ object TuningService {
     val (underRt, underMem, underCpu) = means(hist.all.map(_.result))
 
     // Post-tuning: best-found config applied to subsequent executions.
-    val best = hist.best.getOrElse(hist.all.minBy(_.objective))
+    val best = hist.best.get
     val postStart = Window + budget
     val post = (0 until Window).map(i => sim.run(best.config, postStart + i))
     val (postRt, postMem, postCpu) = means(post)

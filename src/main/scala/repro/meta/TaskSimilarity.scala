@@ -72,8 +72,10 @@ object TaskSimilarity {
   }
 
   /** Train M_reg from (meta-features, surrogate) pairs of previous tasks:
-    * every unordered task pair contributes one training row, labeled by
-    * the Kendall-tau surrogate distance. */
+    * every ordered task pair (i, j), i ≠ j, contributes one training row,
+    * labeled by the Kendall-tau surrogate distance. So each unordered pair
+    * gives two rows with the same (symmetric) `pairFeatures` and two labels
+    * drawn from different sample seeds. */
   def train(cs: ConfigSpace, tasks: Seq[(Array[Double], Surrogate)],
             nSample: Int = 150, seed: Long = 0L, extraDims: Int = 0): DistanceModel = {
     require(tasks.size >= 2, "need >=2 source tasks")

@@ -101,11 +101,10 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
     c.updated(i, clipDim(i, v))
   }
 
-  private def clipDim(i: Int, v: Double): Double = params(i) match {
-    case IntParam(_, lo, hi, _)    => math.rint(v).max(lo.toDouble).min(hi.toDouble)
-    case DoubleParam(_, lo, hi, _) => v.max(lo).min(hi)
-    case CatParam(_, cs)           => math.rint(v).max(0).min((cs.size - 1).toDouble)
-  }
+  /** The legality rule of dimension `i`: snap integers and category
+    * indices, then clamp into range. */
+  private def clipDim(i: Int, v: Double): Double =
+    (if (kind(i) == DoubleKind) v else math.rint(v)).max(lo(i)).min(hi(i))
 
   /** Clip every dimension of `c` into its legal range (ints snapped). */
   def clip(c: Config): Config =
@@ -129,14 +128,10 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   }
 
   /** Legal raw value of dimension `i` at unit coordinate `u`. */
-  private def decode(i: Int, u: Double): Double = kind(i) match {
-    case IntKind    => math.rint(rawOf(i, u)).max(lo(i)).min(hi(i))
-    case DoubleKind => rawOf(i, u).max(lo(i)).min(hi(i))
-    case _ =>
-      // A unit draw in [0,1) selects a category uniformly.
-      val v = if (u >= 0.0 && u < 1.0) math.floor(u * card(i)) else math.rint(u)
-      v.max(0).min(hi(i))
-  }
+  private def decode(i: Int, u: Double): Double =
+    if (kind(i) != CatKind) clipDim(i, rawOf(i, u))
+    // A unit draw in [0,1) selects a category uniformly.
+    else clipDim(i, if (u >= 0.0 && u < 1.0) math.floor(u * card(i)) else u)
 
   private def unitOf(i: Int, v: Double): Double =
     if (isLog(i)) (math.log(v.max(lo(i))) - logLo(i)) / logSpan(i)
@@ -161,22 +156,17 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
     LowDiscrepancy.halton(n, dim, seed).map(fromUnit)
 
   /** Perturb only the dims in `free`, pinning the rest to `anchor` —
-    * TuRBO-style local exploration inside the sub-space. */
+    * TuRBO-style local exploration inside the sub-space. `anchor` must be
+    * legal (`clip(anchor) == anchor`): a pinned dim is decoded back from
+    * its unit encoding, which is the identity only on legal values. */
   def perturbInSubspace(anchor: Config, free: Set[Int], rng: Random,
                         sigma: Double = 0.2, pCat: Double = 0.25): Config = {
     val u = toUnit(anchor)
-    val out = u.clone()
     free.foreach { i =>
-      out(i) = params(i) match {
-        case CatParam(_, cs) =>
-          if (rng.nextDouble() < pCat) rng.nextInt(cs.size).toDouble else u(i)
-        case _ => (u(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
-      }
+      if (!isCat(i)) u(i) = (u(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
+      else if (rng.nextDouble() < pCat) u(i) = rng.nextInt(card(i)).toDouble
     }
-    val cfg = fromUnit(out)
-    Config(Vector.tabulate(dim) { i =>
-      if (isCat(i)) (if (free.contains(i)) cfg(i) else anchor(i)) else cfg(i)
-    })
+    fromUnit(u)
   }
 
   /** Restrict sampling to a sub-space: dims in `free` vary, the rest are

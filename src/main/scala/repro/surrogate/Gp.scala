@@ -79,6 +79,17 @@ final class Gp private (private[surrogate] val f: Factor,
     Pred(yMean + yStd * muStd, varStd * yStd * yStd)
   }
 
+  /** Leave-one-out residuals yᵢ − μ₋ᵢ on the original scale, in closed form
+    * from this fit's own factor (Rasmussen & Williams 2006, §5.4.2):
+    * yStd · αᵢ / [K⁻¹]ᵢᵢ with [K⁻¹]ᵢᵢ = |L⁻¹eᵢ|². μ₋ᵢ keeps the full fit's
+    * kernel, noise and target standardisation. */
+  def looResiduals: Array[Double] = Array.tabulate(n) { i =>
+    val e = new Array[Double](n)
+    e(i) = 1.0
+    val v = Lin.solveLower(f.chol, e)
+    yStd * alpha(i) / Lin.dot(v, v)
+  }
+
   def n: Int = f.xs.length
 }
 

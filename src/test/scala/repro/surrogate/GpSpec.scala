@@ -2,6 +2,7 @@ package repro.surrogate
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.linalg.Lin
 
 class GpSpec extends AnyFunSuite {
   private def kOf(ls: Double): Kernel = new Matern52(Array(0), 0.5 * ls)
@@ -139,6 +140,30 @@ class GpSpec extends AnyFunSuite {
       together.zip(alone).foreach { case (t, a) => assert(t.predict(x) == a.predict(x)) }
       for (a <- together; b <- together) assert(a.predictPair(b, x) == ((a.predict(x), b.predict(x))))
     }
+  }
+
+  test("looResiduals equal a leave-one-out solve with the full fit's kernel and standardisation") {
+    val r = new Random(11)
+    // Two numeric dims (Matérn) and one three-way categorical (Hamming).
+    val xs = Array.fill(12)(Array(r.nextDouble(), r.nextDouble(), r.nextInt(3).toDouble))
+    val ys = xs.map(x => math.sin(4 * x(0)) + x(1) * x(1) + 0.5 * x(2) + 0.05 * r.nextGaussian())
+    val k = new MixedKernel(Vector(new Matern52(Array(0, 1), 0.4), new Hamming(Array(2), 1.0)))
+    val noise = 1e-3
+    val gp = Gp.fit(xs, ys, _ => k, noise, lsGrid = Seq(1.0))
+    val loo = gp.looResiduals
+
+    val n = xs.length
+    val yMean = ys.sum / n
+    val yStd = math.sqrt(ys.map(y => (y - yMean) * (y - yMean)).sum / n)
+    val gram = Array.tabulate(n, n)((a, b) => k(xs(a), xs(b)) + (if (a == b) noise else 0.0))
+    (0 until n).foreach { i =>
+      val keep = (0 until n).filter(_ != i).toArray
+      val (l, _) = Lin.cholesky(keep.map(a => keep.map(b => gram(a)(b))))
+      val alpha = Lin.choleskySolve(l, keep.map(a => (ys(a) - yMean) / yStd))
+      val mu = yMean + yStd * Lin.dot(keep.map(a => k(xs(a), xs(i))), alpha)
+      assert(math.abs(ys(i) - loo(i) - mu) < 1e-9, s"point $i")
+    }
+    assert(loo.exists(v => math.abs(v) > 1e-3))
   }
 
   test("Pred.sigma is sqrt of variance, floored") {

@@ -23,7 +23,7 @@ class BenchFigure45 extends SparkSpec {
   }
 
   test("reproduce Figures 4 and 5 as tables (prints both)") {
-    print(HiBenchCompareJob.render(cells))
+    HiBenchCompareJob.render(cells).linesIterator.foreach(info(_))
     assert(cells.nonEmpty)
   }
 

@@ -40,11 +40,11 @@ class BenchSafety extends AnyFunSuite {
     Workloads.six.map(_.name).map(t => (t, safePct(t, safety = true), safePct(t, safety = false)))
 
   test("reproduce the §6.5 safety statistics (prints per-task safe %)") {
-    println(f"${"task"}%-10s ${"safe% (ours)"}%14s ${"safe% (vanilla)"}%16s")
-    rows.foreach { case (t, a, b) => println(f"$t%-10s $a%14.2f $b%16.2f") }
+    info(f"${"task"}%-10s ${"safe% (ours)"}%14s ${"safe% (vanilla)"}%16s")
+    rows.foreach { case (t, a, b) => info(f"$t%-10s $a%14.2f $b%16.2f") }
     val avgSafe = rows.map(_._2).sum / rows.size
     val avgVanilla = rows.map(_._3).sum / rows.size
-    println(f"average: ours $avgSafe%.2f%% vs vanilla $avgVanilla%.2f%% " +
+    info(f"average: ours $avgSafe%.2f%% vs vanilla $avgVanilla%.2f%% " +
       "(paper: 93.00%% vs 69.67%%)")
     assert(rows.size == 6)
   }

@@ -42,10 +42,10 @@ class BenchSubspaceAgd extends AnyFunSuite {
       val adaptive = costs(t, identity)
       (t, full, small, adaptive)
     }
-    println(f"${"task"}%-10s ${"metric"}%-6s ${"full(30)"}%12s ${"small(6)"}%12s ${"adaptive"}%12s")
+    info(f"${"task"}%-10s ${"metric"}%-6s ${"full(30)"}%12s ${"small(6)"}%12s ${"adaptive"}%12s")
     rows.foreach { case (t, f, s, a) =>
-      println(f"$t%-10s best   ${f._1}%12.2f ${s._1}%12.2f ${a._1}%12.2f")
-      println(f"$t%-10s avg    ${f._2}%12.2f ${s._2}%12.2f ${a._2}%12.2f")
+      info(f"$t%-10s best   ${f._1}%12.2f ${s._1}%12.2f ${a._1}%12.2f")
+      info(f"$t%-10s avg    ${f._2}%12.2f ${s._2}%12.2f ${a._2}%12.2f")
     }
     rows.foreach { case (t, full, small, adaptive) =>
       // Fig. 7(a): adaptive's best tracks the better of full/small (slack).
@@ -66,9 +66,9 @@ class BenchSubspaceAgd extends AnyFunSuite {
       val without = bestCost(t, _.copy(useAgd = false))
       (t, withAgd, without)
     }
-    println(f"${"task"}%-10s ${"BO+AGD"}%12s ${"BO"}%12s ${"delta%"}%8s")
+    info(f"${"task"}%-10s ${"BO+AGD"}%12s ${"BO"}%12s ${"delta%"}%8s")
     rows.foreach { case (t, w, wo) =>
-      println(f"$t%-10s $w%12.2f $wo%12.2f ${100 * (wo - w) / wo}%8.2f")
+      info(f"$t%-10s $w%12.2f $wo%12.2f ${100 * (wo - w) / wo}%8.2f")
     }
     // Average effect is non-negative (paper: +7.47% cost reduction, with
     // one task allowed to regress slightly).
@@ -93,7 +93,7 @@ class BenchSubspaceAgd extends AnyFunSuite {
     }
     val withMeta = (0 until Seeds).map(s => bestAt10(meta = true, 101 + s)).sum / Seeds
     val without = (0 until Seeds).map(s => bestAt10(meta = false, 101 + s)).sum / Seeds
-    println(f"KMeans best cost @10 iters: with meta $withMeta%.2f, without $without%.2f")
+    info(f"KMeans best cost @10 iters: with meta $withMeta%.2f, without $without%.2f")
     assert(withMeta <= without * 1.15)
   }
 }

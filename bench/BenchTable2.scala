@@ -15,7 +15,7 @@ class BenchTable2 extends AnyFunSuite {
   private lazy val rows = Table2Job.rows(budget = 20)
 
   test("reproduce Table 2 (prints full table)") {
-    print(Table2Job.render(rows))
+    Table2Job.render(rows).linesIterator.foreach(info(_))
     assert(rows.size == 8)
   }
 

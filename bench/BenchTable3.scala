@@ -20,8 +20,8 @@ class BenchTable3 extends SparkSpec {
 
   test("reproduce Table 3 (prints the table)") {
     val (t3, rows) = result
-    println(s"Fleet size: $FleetSize (paper: 25K tasks)")
-    print(Table3Job.render(t3))
+    info(s"Fleet size: $FleetSize (paper: 25K tasks)")
+    Table3Job.render(t3).linesIterator.foreach(info(_))
     assert(rows.size == FleetSize)
   }
 

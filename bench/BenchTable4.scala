@@ -15,7 +15,7 @@ class BenchTable4 extends AnyFunSuite {
   private lazy val rows = Table4Job.rows(budget = 30)
 
   test("reproduce Table 4 (prints the table)") {
-    print(Table4Job.render(rows))
+    Table4Job.render(rows).linesIterator.foreach(info(_))
     assert(rows.size == 4)
   }
 

@@ -17,7 +17,7 @@ class BenchTable5 extends AnyFunSuite {
   private lazy val rows = Table5Job.rows()
 
   test("reproduce Table 5 (prints the table)") {
-    print(Table5Job.render(rows))
+    Table5Job.render(rows).linesIterator.foreach(info(_))
     assert(rows.size == 10)
   }
 

@@ -215,13 +215,14 @@ final class OnlineTuner(sim: SparkClusterSim,
   }
 
   /** §3.3 restarting criterion: continuous degradation — the incumbent's
-    * recent actual results exceed the expected (historical incumbent)
-    * objective by `tol` for `window` consecutive runs. */
+    * recent actual results exceed the expected objective, the incumbent of
+    * the runs before them (`RunHistory.ranked`: feasible first), by `tol`
+    * for `window` consecutive runs. */
   def degradationDetected(history: RunHistory, window: Int = 3, tol: Double = 0.3): Boolean = {
     val obs = history.all
     if (obs.size < window + 1) return false
     val recent = obs.takeRight(window)
-    val expected = obs.dropRight(window).map(_.objective).min
+    val expected = RunHistory.ranked(obs.dropRight(window)).head.objective
     recent.forall(_.objective > expected * (1.0 + tol))
   }
 }

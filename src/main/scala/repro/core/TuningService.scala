@@ -39,7 +39,7 @@ object TuningService {
     * configuration's metrics. Returns the simulator, the manual runs and
     * the tuning history.
     */
-  private def tuneOnline(task: ProdTask, budget: Int, settings: TunerSettings,
+  private[core] def tuneOnline(task: ProdTask, budget: Int, settings: TunerSettings,
                          warmStart: Vector[Config]): (SparkClusterSim, Seq[RunResult], RunHistory) = {
     val sim = new SparkClusterSim(task.spec, FleetGen.prodSpace)
     val pre = (0 until Window).map(i => sim.run(task.manual, i))

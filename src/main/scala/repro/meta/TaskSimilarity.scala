@@ -41,10 +41,9 @@ object TaskSimilarity {
   /** Distance of two surrogates via ranking disagreement on `nSample`
     * random configs (§5.1). */
   def surrogateDistance(cs: ConfigSpace, mi: Surrogate, mj: Surrogate,
-                        nSample: Int = 200, seed: Long = 0L,
-                        extraDims: Int = 0): Double = {
+                        nSample: Int = 200, seed: Long = 0L): Double = {
     val rng = new Random(seed)
-    val xs = Array.fill(nSample)(Array.fill(cs.dim + extraDims)(rng.nextDouble()))
+    val xs = Array.fill(nSample)(Array.fill(cs.dim)(rng.nextDouble()))
     val pi = xs.map(mi.predict(_).mean).toSeq
     val pj = xs.map(mj.predict(_).mean).toSeq
     (1.0 - kendallTau(pi, pj)) / 2.0
@@ -77,12 +76,12 @@ object TaskSimilarity {
     * gives two rows with the same (symmetric) `pairFeatures` and two labels
     * drawn from different sample seeds. */
   def train(cs: ConfigSpace, tasks: Seq[(Array[Double], Surrogate)],
-            nSample: Int = 150, seed: Long = 0L, extraDims: Int = 0): DistanceModel = {
+            nSample: Int = 150, seed: Long = 0L): DistanceModel = {
     require(tasks.size >= 2, "need >=2 source tasks")
     val rows = for {
       i <- tasks.indices; j <- tasks.indices if i != j
     } yield {
-      val d = surrogateDistance(cs, tasks(i)._2, tasks(j)._2, nSample, seed + i * 31 + j, extraDims)
+      val d = surrogateDistance(cs, tasks(i)._2, tasks(j)._2, nSample, seed + i * 31 + j)
       (pairFeatures(tasks(i)._1, tasks(j)._1), d)
     }
     val xs = rows.map(_._1).toArray

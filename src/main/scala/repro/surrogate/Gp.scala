@@ -18,11 +18,15 @@ trait Surrogate extends Serializable {
   * Cholesky factor L of K + τ²I. GPs fitted together on the same inputs
   * that select the same lengthscale share one instance.
   */
-private final class Factor(val kernel: Kernel, val xs: Array[Array[Double]],
+private final class Factor(kernel: Kernel, val xs: Array[Array[Double]],
                            val noise: Double) extends Serializable {
   val rows: KernelRows = kernel.rows(xs)
   /** k(x, x), the same for every x because the kernels are stationary. */
-  val kxx: Double = kernel(xs(0), xs(0))
+  val kxx: Double = {
+    val buf = new Array[Double](1)
+    rows.into(xs(0), buf, 1)
+    buf(0)
+  }
   val chol: Array[Array[Double]] = {
     // Lower triangle only (row i holds K(i, 0..i)): Lin.cholesky reads
     // nothing above the diagonal. The kernels are symmetric, so the row

@@ -10,18 +10,12 @@ import repro.space.ConfigSpace
   * this and reads k(x, x) once per fit.
   */
 trait Kernel extends Serializable {
-  def apply(x: Array[Double], y: Array[Double]): Double
-
   /** This kernel bound to the training points `xs`, which it stores
     * column-major. */
   def rows(xs: Array[Array[Double]]): KernelRows
 }
 
-/** A kernel bound to `n` training points X. Each value is computed with
-  * the kernel's per-pair arithmetic in `apply`'s order, so `row(x)(i)`
-  * equals `apply(X(i), x)` to the bit (with no dims, s = 0 gives 1.0
-  * exactly, as `apply`'s early return does).
-  */
+/** A kernel bound to `n` training points X: `row(x)(i)` is k(X(i), x). */
 abstract class KernelRows(val n: Int) extends Serializable {
   /** Writes k(X(i), x) into `out(i)` for every i < m (m ≤ n). */
   def into(x: Array[Double], out: Array[Double], m: Int): Unit
@@ -38,56 +32,34 @@ private object KernelRows {
   /** Column j holds `f(xs(i)(dims(j)))` for every training point i. */
   def columns(xs: Array[Array[Double]], dims: Array[Int], f: Double => Double): Array[Array[Double]] =
     Array.tabulate(dims.length)(j => Array.tabulate(xs.length)(i => f(xs(i)(dims(j)))))
-
-  /** out(i) = Σⱼ ((cols(j)(i) − x(dims(j))) / ℓ)², summed in dims order. */
-  def sqDist(cols: Array[Array[Double]], dims: Array[Int], lengthscale: Double,
-             x: Array[Double], out: Array[Double], m: Int): Unit = {
-    Arrays.fill(out, 0, m, 0.0)
-    var j = 0
-    while (j < cols.length) {
-      val c = cols(j)
-      val xj = x(dims(j))
-      var i = 0
-      while (i < m) {
-        val d = (c(i) - xj) / lengthscale
-        out(i) += d * d
-        i += 1
-      }
-      j += 1
-    }
-  }
 }
 
-/** Matérn-5/2 over a subset of (numeric) dimensions with a shared
-  * lengthscale: k(r) = (1 + √5·r + 5r²/3)·exp(−√5·r).
+/** A kernel over a subset of (numeric) dimensions with a shared
+  * lengthscale ℓ, as a profile `ofSq` of the scaled squared distance
+  * s = Σ ((xᵢ − yᵢ) / ℓ)², summed in dims order.
   */
-final class Matern52(dims: Array[Int], lengthscale: Double) extends Kernel {
+sealed abstract class SqDistKernel(dims: Array[Int], lengthscale: Double) extends Kernel {
   require(lengthscale > 0)
 
-  /** k as a function of the scaled squared distance s = r². */
-  private def ofSq(s: Double): Double = {
-    val r = math.sqrt(s)
-    val a = math.sqrt(5.0) * r
-    (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
-  }
-
-  def apply(x: Array[Double], y: Array[Double]): Double = {
-    if (dims.isEmpty) return 1.0
-    var s = 0.0
-    var i = 0
-    while (i < dims.length) {
-      val d = (x(dims(i)) - y(dims(i))) / lengthscale
-      s += d * d
-      i += 1
-    }
-    ofSq(s)
-  }
+  protected def ofSq(s: Double): Double
 
   def rows(xs: Array[Array[Double]]): KernelRows = {
     val cols = KernelRows.columns(xs, dims, identity)
     new KernelRows(xs.length) {
       def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
-        KernelRows.sqDist(cols, dims, lengthscale, x, out, m)
+        Arrays.fill(out, 0, m, 0.0)
+        var j = 0
+        while (j < cols.length) {
+          val c = cols(j)
+          val xj = x(dims(j))
+          var i = 0
+          while (i < m) {
+            val d = (c(i) - xj) / lengthscale
+            out(i) += d * d
+            i += 1
+          }
+          j += 1
+        }
         var i = 0
         while (i < m) { out(i) = ofSq(out(i)); i += 1 }
       }
@@ -95,33 +67,20 @@ final class Matern52(dims: Array[Int], lengthscale: Double) extends Kernel {
   }
 }
 
-/** Squared-exponential (SE/RBF) over a subset of dimensions — used for the
-  * data-size dimension in the mixed kernel (§3.3 Dynamic Workload Support).
-  */
-final class SqExp(dims: Array[Int], lengthscale: Double) extends Kernel {
-  require(lengthscale > 0)
-  def apply(x: Array[Double], y: Array[Double]): Double = {
-    if (dims.isEmpty) return 1.0
-    var s = 0.0
-    var i = 0
-    while (i < dims.length) {
-      val d = (x(dims(i)) - y(dims(i))) / lengthscale
-      s += d * d
-      i += 1
-    }
-    math.exp(-0.5 * s)
+/** Matérn-5/2: k(r) = (1 + √5·r + 5r²/3)·exp(−√5·r), r² = s. */
+final class Matern52(dims: Array[Int], lengthscale: Double) extends SqDistKernel(dims, lengthscale) {
+  protected def ofSq(s: Double): Double = {
+    val r = math.sqrt(s)
+    val a = math.sqrt(5.0) * r
+    (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
   }
+}
 
-  def rows(xs: Array[Array[Double]]): KernelRows = {
-    val cols = KernelRows.columns(xs, dims, identity)
-    new KernelRows(xs.length) {
-      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
-        KernelRows.sqDist(cols, dims, lengthscale, x, out, m)
-        var i = 0
-        while (i < m) { out(i) = math.exp(-0.5 * out(i)); i += 1 }
-      }
-    }
-  }
+/** Squared-exponential (SE/RBF): k = exp(−s/2) — used for the data-size
+  * dimension in the mixed kernel (§3.3 Dynamic Workload Support).
+  */
+final class SqExp(dims: Array[Int], lengthscale: Double) extends SqDistKernel(dims, lengthscale) {
+  protected def ofSq(s: Double): Double = math.exp(-0.5 * s)
 }
 
 /** Hamming kernel over categorical dimensions:
@@ -132,15 +91,6 @@ final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
   /** exp(−mis/ℓ) for every mismatch count 0..dims.length. */
   private[surrogate] val byMismatch: Array[Double] =
     Array.tabulate(dims.length + 1)(mis => math.exp(-mis / lengthscale))
-  def apply(x: Array[Double], y: Array[Double]): Double = {
-    var mis = 0
-    var i = 0
-    while (i < dims.length) {
-      if (math.rint(x(dims(i))) != math.rint(y(dims(i)))) mis += 1
-      i += 1
-    }
-    byMismatch(mis)
-  }
 
   def rows(xs: Array[Array[Double]]): KernelRows = {
     val cols = KernelRows.columns(xs, dims, math.rint)
@@ -168,12 +118,6 @@ final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
   */
 final class MixedKernel(components: Vector[Kernel], amplitude: Double = 1.0) extends Kernel {
   private val parts: Array[Kernel] = components.toArray
-  def apply(x: Array[Double], y: Array[Double]): Double = {
-    var k = amplitude
-    var i = 0
-    while (i < parts.length) { k *= parts(i)(x, y); i += 1 }
-    k
-  }
 
   def rows(xs: Array[Array[Double]]): KernelRows = {
     val bound = parts.map(_.rows(xs))

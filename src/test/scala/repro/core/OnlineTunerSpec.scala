@@ -137,6 +137,17 @@ class OnlineTunerSpec extends AnyFunSuite {
     assert(!tuner.degradationDetected(h2, window = 3, tol = 0.3))
   }
 
+  test("degradation detection measures against the feasible incumbent, not a cheaper infeasible run") {
+    val tuner = new OnlineTuner(sim, objective, TunerSettings(seed = 8))
+    val h = new RunHistory
+    def obs(y: Double, feasible: Boolean, i: Int) = Observation(manual,
+      repro.env.RunResult(y, 0, 0, 1, 10, failed = false), y, feasible, i)
+    // A run over T_max with objective 50 must not set the bar at 50 · 1.3.
+    h.add(obs(50, feasible = false, 0)); h.add(obs(100, feasible = true, 1))
+    h.add(obs(120, feasible = true, 2)); h.add(obs(125, feasible = true, 3)); h.add(obs(130, feasible = true, 4))
+    assert(!tuner.degradationDetected(h, window = 3, tol = 0.3))
+  }
+
   test("AGD iterations appear every N_AGD trials and stay legal") {
     val out = new OnlineTuner(sim, objective,
       TunerSettings(seed = 9, nAgd = 5), Vector(manual)).tune(12)

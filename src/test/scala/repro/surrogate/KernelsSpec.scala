@@ -8,45 +8,48 @@ import repro.space.SparkParams
 class KernelsSpec extends AnyFunSuite {
   private val cs = SparkParams.space()
 
+  /** k(x, y) through the production rows: `k` bound to the one point x. */
+  private def kv(k: Kernel, x: Array[Double], y: Array[Double]): Double = k.rows(Array(x)).row(y)(0)
+
   test("Matern52 at zero distance is 1") {
     val k = new Matern52(Array(0, 1, 2), 0.5)
     val x = Array(0.3, 0.4, 0.5)
-    assert(math.abs(k(x, x) - 1.0) < 1e-12)
+    assert(math.abs(kv(k, x, x) - 1.0) < 1e-12)
   }
 
   test("Matern52 decays with distance and is symmetric") {
     val k = new Matern52(Array(0), 0.5)
     val a = Array(0.0); val b = Array(0.3); val c = Array(0.9)
-    assert(k(a, b) > k(a, c))
-    assert(k(a, b) == k(b, a))
-    assert(k(a, c) > 0.0 && k(a, c) < 1.0)
+    assert(kv(k, a, b) > kv(k, a, c))
+    assert(kv(k, a, b) == kv(k, b, a))
+    assert(kv(k, a, c) > 0.0 && kv(k, a, c) < 1.0)
   }
 
   test("Matern52 closed form at r = lengthscale") {
     val k = new Matern52(Array(0), 1.0)
-    val v = k(Array(0.0), Array(1.0)) // r = 1
+    val v = kv(k, Array(0.0), Array(1.0)) // r = 1
     val expected = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
     assert(math.abs(v - expected) < 1e-12)
   }
 
   test("Matern52 over empty dims is constant 1") {
     val k = new Matern52(Array.empty, 0.5)
-    assert(k(Array(0.1), Array(0.9)) == 1.0)
+    assert(kv(k, Array(0.1), Array(0.9)) == 1.0)
     assert(k.rows(Array(Array(0.1), Array(0.5))).row(Array(0.9)).toSeq == Seq(1.0, 1.0))
     assert(new SqExp(Array.empty, 0.5).rows(Array(Array(0.1))).row(Array(0.9)).toSeq == Seq(1.0))
   }
 
   test("SqExp matches exp(-d²/2ℓ²)") {
     val k = new SqExp(Array(0), 0.5)
-    val v = k(Array(0.0), Array(0.5)) // d=0.5, ℓ=0.5 → exp(-0.5)
+    val v = kv(k, Array(0.0), Array(0.5)) // d=0.5, ℓ=0.5 → exp(-0.5)
     assert(math.abs(v - math.exp(-0.5)) < 1e-12)
   }
 
   test("Hamming counts mismatching categorical dims") {
     val k = new Hamming(Array(0, 1), 1.0)
-    assert(k(Array(0.0, 1.0), Array(0.0, 1.0)) == 1.0)
-    assert(math.abs(k(Array(0.0, 1.0), Array(0.0, 2.0)) - math.exp(-1.0)) < 1e-12)
-    assert(math.abs(k(Array(0.0, 1.0), Array(1.0, 2.0)) - math.exp(-2.0)) < 1e-12)
+    assert(kv(k, Array(0.0, 1.0), Array(0.0, 1.0)) == 1.0)
+    assert(math.abs(kv(k, Array(0.0, 1.0), Array(0.0, 2.0)) - math.exp(-1.0)) < 1e-12)
+    assert(math.abs(kv(k, Array(0.0, 1.0), Array(1.0, 2.0)) - math.exp(-2.0)) < 1e-12)
   }
 
   test("Hamming table holds exp(-mis/ℓ) for every mismatch count") {
@@ -59,27 +62,27 @@ class KernelsSpec extends AnyFunSuite {
 
   test("MixedKernel multiplies components and amplitude") {
     val k = new MixedKernel(Vector(new SqExp(Array(0), 1.0)), amplitude = 2.0)
-    assert(math.abs(k(Array(0.0), Array(0.0)) - 2.0) < 1e-12)
+    assert(math.abs(kv(k, Array(0.0), Array(0.0)) - 2.0) < 1e-12)
   }
 
   test("forSpace builds a kernel with k(x,x)=amplitude") {
     val k = MixedKernel.forSpace(cs, withDataSize = false, amplitude = 1.0)
     val x = cs.toUnit(SparkParams.defaults(cs))
-    assert(math.abs(k(x, x) - 1.0) < 1e-12)
+    assert(math.abs(kv(k, x, x) - 1.0) < 1e-12)
   }
 
   test("forSpace with data size reacts to the trailing dim") {
     val k = MixedKernel.forSpace(cs, withDataSize = true)
     val x = cs.toUnit(SparkParams.defaults(cs)) :+ 0.2
     val y = cs.toUnit(SparkParams.defaults(cs)) :+ 0.9
-    assert(k(x, y) < k(x, x))
+    assert(kv(k, x, y) < kv(k, x, x))
   }
 
   test("categorical change lowers the mixed kernel via Hamming") {
     val k = MixedKernel.forSpace(cs, withDataSize = false)
     val c0 = SparkParams.defaults(cs)
     val c1 = cs.withValue(c0, SparkParams.IoCodec, 2.0)
-    assert(k(cs.toUnit(c0), cs.toUnit(c1)) < 1.0)
+    assert(kv(k, cs.toUnit(c0), cs.toUnit(c1)) < 1.0)
   }
 
   test("kernel rows equal apply bit for bit, also on duplicate training points") {
@@ -88,7 +91,7 @@ class KernelsSpec extends AnyFunSuite {
     for (space <- Seq(FleetGen.hibenchSpace, FleetGen.prodSpace); ds <- Seq(false, true);
          n <- Seq(1, 2, 17, 30); ls <- Seq(0.5, 1.0, 2.0)) {
       // Categorical coordinates are moved off their integer index by up to
-      // ±0.3, so a row must round them as apply does.
+      // ±0.3, so a row must round them as the reference does.
       def point() = {
         val u = space.toUnit(space.sampleRandom(r))
         (0 until space.dim).filter(space.isCat).foreach(i => u(i) += 0.6 * r.nextDouble() - 0.3)
@@ -98,12 +101,13 @@ class KernelsSpec extends AnyFunSuite {
       val distinct = Array.fill((n + 1) / 2)(point())
       val xs = Array.tabulate(n)(i => distinct(i % distinct.length).clone())
       val k = MixedKernel.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
+      val ref = KernelRef.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
       val rows = k.rows(xs)
       (xs ++ Array.fill(5)(point())).foreach { x =>
         val row = rows.row(x)
         assert(row.length == n)
         (0 until n).foreach { i =>
-          assert(bits(row(i)) == bits(k(xs(i), x)), s"n=$n ds=$ds ls=$ls i=$i")
+          assert(bits(row(i)) == bits(ref(xs(i), x)), s"n=$n ds=$ds ls=$ls i=$i")
         }
         val prefix = Array.fill(n)(-1.0)
         rows.into(x, prefix, n / 2)

@@ -45,7 +45,7 @@ class BenchSafety extends AnyFunSuite {
     val avgSafe = rows.map(_._2).sum / rows.size
     val avgVanilla = rows.map(_._3).sum / rows.size
     info(f"average: ours $avgSafe%.2f%% vs vanilla $avgVanilla%.2f%% " +
-      "(paper: 93.00%% vs 69.67%%)")
+      "(paper: 93.00% vs 69.67%)")
     assert(rows.size == 6)
   }
 

@@ -1,7 +1,7 @@
 package repro.bo
 
 import repro.space.{Config, ConfigSpace}
-import repro.surrogate.Surrogate
+import repro.surrogate.{Block, Surrogate}
 
 /** Approximate Gradient Descent (§4.3, Eq. 9–11).
   *
@@ -33,30 +33,31 @@ final class Agd(cs: ConfigSpace, beta: Double,
   def step(best: Config, runtimeSurrogate: Surrogate, extra: Array[Double]): Config = {
     val u = cs.toUnit(best)
     def pad(v: Array[Double]): Array[Double] = if (extra.isEmpty) v else v ++ extra
-
-    def tAt(v: Array[Double]): Double = runtimeSurrogate.predict(pad(v)).mean.max(1e-6)
     def rAt(v: Array[Double]): Double = resourceOf(cs.fromUnit(v)).max(1e-6)
+    def moved(i: Int, to: Double): Array[Double] = { val v = u.clone(); v(i) = to; v }
 
-    val t0 = tAt(u)
+    val num = (0 until cs.dim).filterNot(cs.isCat).toArray
+    val ups = num.map(i => moved(i, (u(i) + eps).min(1.0)))
+    val dns = num.map(i => moved(i, (u(i) - eps).max(0.0)))
+    // The runtime surrogate at u and at both ends of every difference, as
+    // one block: t(0) at u, t(1 + k) at ups(k), t(1 + K + k) at dns(k).
+    val t = runtimeSurrogate.predictBlock(Block.of((u +: (ups ++ dns)).map(pad)))
+      .map(_.mean.max(1e-6))
     val r0 = rAt(u)
-    val ratio = t0 / r0
+    val ratio = t(0) / r0
 
     val out = u.clone()
-    var i = 0
-    while (i < cs.dim) {
-      if (!cs.isCat(i)) {
-        val up = u.clone(); up(i) = (u(i) + eps).min(1.0)
-        val dn = u.clone(); dn(i) = (u(i) - eps).max(0.0)
-        val h = (up(i) - dn(i)).max(1e-9)
-        val dT = (tAt(up) - tAt(dn)) / h           // Eq. 10
-        val dR = (rAt(up) - rAt(dn)) / h
-        val grad = beta * math.pow(ratio, beta - 1.0) * dT +
-          (1.0 - beta) * math.pow(ratio, beta) * dR // Eq. 9
-        val stepRaw = eta * grad                    // Eq. 11
-        val step = math.signum(stepRaw) * math.min(math.abs(stepRaw), maxStep)
-        out(i) = (u(i) - step).max(0.0).min(1.0)
-      }
-      i += 1
+    num.indices.foreach { k =>
+      val i = num(k)
+      val (up, dn) = (ups(k), dns(k))
+      val h = (up(i) - dn(i)).max(1e-9)
+      val dT = (t(1 + k) - t(1 + num.length + k)) / h // Eq. 10
+      val dR = (rAt(up) - rAt(dn)) / h
+      val grad = beta * math.pow(ratio, beta - 1.0) * dT +
+        (1.0 - beta) * math.pow(ratio, beta) * dR     // Eq. 9
+      val stepRaw = eta * grad                        // Eq. 11
+      val step = math.signum(stepRaw) * math.min(math.abs(stepRaw), maxStep)
+      out(i) = (u(i) - step).max(0.0).min(1.0)
     }
     cs.fromUnit(out)
   }

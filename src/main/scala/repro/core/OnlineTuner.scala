@@ -5,7 +5,7 @@ import repro.bo.{Acquisition, Agd, SafeRegion, Subspace}
 import repro.env.SparkClusterSim
 import repro.meta.TaskSimilarity
 import repro.space.{Config, ConfigSpace, SparkParams}
-import repro.surrogate.{Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
+import repro.surrogate.{Block, Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
 
 /** Feature switches + hyper-parameters of the tuning framework.
   *
@@ -141,10 +141,9 @@ final class OnlineTuner(sim: SparkClusterSim,
     // --- AGD branch (every N_AGD iterations; Algorithm 2 lines 2–4) -----
     if (isAgdRun(obs.size + 1)) {
       val rtForAgd = new Surrogate { // expose runtime on the natural scale
-        def predict(x: Array[Double]): Pred = {
-          val p = gpRt.predict(x)
-          Pred(math.exp(p.mean), p.variance)
-        }
+        private def natural(p: Pred) = Pred(math.exp(p.mean), p.variance)
+        def predict(x: Array[Double]): Pred = natural(gpRt.predict(x))
+        override def predictBlock(c: Block): Array[Pred] = gpRt.predictBlock(c).map(natural)
       }
       return Some(cs.clip(agd.step(best.config, rtForAgd, dsExtra)))
     }
@@ -174,18 +173,18 @@ final class OnlineTuner(sim: SparkClusterSim,
         Vector.fill(nGlob)(cs.sampleRandom(rng))
     }
 
-    // Without a reader of the runtime prediction, its slot holds the
-    // objective's.
+    // The whole pool is scored as one block. Without a reader of the
+    // runtime prediction, its slot holds the objective's.
     val logTMax = math.log(objective.tMax)
     val readsRt = (settings.useSafety || settings.useEic) && !objective.tMax.isPosInfinity
-    val scored = candidates.map { c =>
-      val x = encode(c, dsGB)
-      val (pObj, pRt) =
-        if (!readsRt) { val p = objSurrogate.predict(x); (p, p) }
-        else if (objSurrogate eq gpObjLocal) gpObjLocal.predictPair(gpRt, x)
-        else (objSurrogate.predict(x), gpRt.predict(x))
-      val res = sim.resource(c) // white-box resource (§4.3)
-      (c, pObj, pRt, res)
+    val block = Block.of(candidates.map(encode(_, dsGB)).toArray)
+    val (pObjs, pRts) =
+      if (!readsRt) { val p = objSurrogate.predictBlock(block); (p, p) }
+      else if (objSurrogate eq gpObjLocal) gpObjLocal.predictPair(gpRt, block)
+      else (objSurrogate.predictBlock(block), gpRt.predictBlock(block))
+    val scored = candidates.indices.map { j =>
+      val c = candidates(j)
+      (c, pObjs(j), pRts(j), sim.resource(c)) // white-box resource (§4.3)
     }
 
     // Resource constraint is analytic; runtime constraint via safe region.

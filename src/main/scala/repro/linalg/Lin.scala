@@ -2,8 +2,11 @@ package repro.linalg
 
 /** Minimal dense linear algebra for small GP systems (n ≤ a few hundred).
   *
-  * Everything operates on `Array[Array[Double]]` row-major matrices and is
-  * written for clarity over speed; GP fits here never exceed ~100×100.
+  * Matrices are `Array[Array[Double]]`, row-major; GP fits here never
+  * exceed ~100×100. The one loop on the hot path is [[solveLowerBlock]],
+  * which solves for a whole block of right-hand sides at once (every
+  * candidate a suggestion scores), with the block's columns on the inner
+  * loop; the rest is written for clarity over speed.
   */
 object Lin {
 
@@ -57,6 +60,32 @@ object Lin {
       i += 1
     }
     y
+  }
+
+  /** Solve L V = B in place for lower-triangular L (n×n) and B given as n
+    * rows of m. Row i subtracts L(i, p)·V(p, ·) in increasing p, then
+    * divides by L(i, i), so every column gets exactly the operations of
+    * [[solveLower]] on it.
+    */
+  def solveLowerBlock(l: Array[Array[Double]], b: Array[Array[Double]]): Unit = {
+    var i = 0
+    while (i < l.length) {
+      val li = l(i)
+      val bi = b(i)
+      val m = bi.length
+      var p = 0
+      while (p < i) {
+        val lip = li(p)
+        val bp = b(p)
+        var q = 0
+        while (q < m) { bi(q) -= lip * bp(q); q += 1 }
+        p += 1
+      }
+      val d = li(i)
+      var q = 0
+      while (q < m) { bi(q) /= d; q += 1 }
+      i += 1
+    }
   }
 
   /** Solve Lᵀ x = b for lower-triangular L. */

@@ -3,7 +3,7 @@ package repro.meta
 import scala.util.Random
 import repro.model.Gbdt
 import repro.space.ConfigSpace
-import repro.surrogate.Surrogate
+import repro.surrogate.{Block, Surrogate}
 
 /** Task-similarity learning (§5.1).
   *
@@ -43,9 +43,9 @@ object TaskSimilarity {
   def surrogateDistance(cs: ConfigSpace, mi: Surrogate, mj: Surrogate,
                         nSample: Int = 200, seed: Long = 0L): Double = {
     val rng = new Random(seed)
-    val xs = Array.fill(nSample)(Array.fill(cs.dim)(rng.nextDouble()))
-    val pi = xs.map(mi.predict(_).mean).toSeq
-    val pj = xs.map(mj.predict(_).mean).toSeq
+    val xs = Block.of(Array.fill(nSample)(Array.fill(cs.dim)(rng.nextDouble())))
+    val pi = mi.predictBlock(xs).map(_.mean).toSeq
+    val pj = mj.predictBlock(xs).map(_.mean).toSeq
     (1.0 - kendallTau(pi, pj)) / 2.0
   }
 

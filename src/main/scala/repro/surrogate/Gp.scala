@@ -12,34 +12,47 @@ final case class Pred(mean: Double, variance: Double) {
   */
 trait Surrogate extends Serializable {
   def predict(x: Array[Double]): Pred
+
+  /** [[predict]] at every point of `c`, in order. */
+  def predictBlock(c: Block): Array[Pred] = Array.tabulate(c.m)(j => predict(c.point(j)))
 }
 
 /** One grid lengthscale's kernel bound to the training inputs, with the
   * Cholesky factor L of K + τ²I. GPs fitted together on the same inputs
   * that select the same lengthscale share one instance.
+  *
+  * @param kxx k(x, x), the same for every x because the kernels are
+  *            stationary
   */
-private final class Factor(kernel: Kernel, val xs: Array[Array[Double]],
-                           val noise: Double) extends Serializable {
-  val rows: KernelRows = kernel.rows(xs)
-  /** k(x, x), the same for every x because the kernels are stationary. */
-  val kxx: Double = {
-    val buf = new Array[Double](1)
-    rows.into(xs(0), buf, 1)
-    buf(0)
-  }
-  val chol: Array[Array[Double]] = {
-    // Lower triangle only (row i holds K(i, 0..i)): Lin.cholesky reads
-    // nothing above the diagonal. The kernels are symmetric, so the row
-    // at xs(i) is K's row i.
-    val gram = Array.tabulate(xs.length) { i =>
-      val r = new Array[Double](i + 1)
-      rows.into(xs(i), r, i + 1)
-      r(i) += noise
-      r
-    }
-    Lin.cholesky(gram)._1
-  }
+private final class Factor private (val rows: KernelRows, val xs: Array[Array[Double]],
+                                    val noise: Double, val kxx: Double,
+                                    val chol: Array[Array[Double]]) extends Serializable {
   val logDet: Double = Lin.logDet(chol)
+
+  /** |L⁻¹k(X, C(j))|² for every column j of the n×m kernel block `k`: the
+    * prior variance the training data explains at each point. Overwrites
+    * `k` with L⁻¹k. */
+  def explained(k: Array[Array[Double]]): Array[Double] = {
+    Lin.solveLowerBlock(chol, k)
+    val vv = new Array[Double](k(0).length)
+    k.foreach { vi =>
+      var q = 0
+      while (q < vv.length) { vv(q) += vi(q) * vi(q); q += 1 }
+    }
+    vv
+  }
+}
+
+private object Factor {
+  def apply(kernel: Kernel, xs: Array[Array[Double]], noise: Double): Factor = {
+    val rows = kernel.rows(xs)
+    val gram = rows.block(Block.of(xs)) // K(p, q) at gram(p)(q)
+    // Lin.cholesky reads only the lower triangle, so row i holds just
+    // K(0..i, i) (K is symmetric).
+    val chol = Lin.cholesky(Array.tabulate(xs.length)(i => Array.tabulate(i + 1)(k =>
+      if (k == i) gram(k)(i) + noise else gram(k)(i))))._1
+    new Factor(rows, xs, noise, gram(0)(0), chol)
+  }
 }
 
 /** Gaussian-process regression surrogate (Eq. 2) with fixed-form mixed
@@ -49,49 +62,73 @@ private final class Factor(kernel: Kernel, val xs: Array[Array[Double]],
   * Fitting selects the kernel lengthscale scale from a small candidate
   * grid by marginal likelihood — the paper's motivation for GPs is that
   * they are effectively hyperparameter-free, which this preserves.
+  *
+  * Every prediction is a block prediction: one kernel block k(X, C), one
+  * sweep for the means, then one forward solve over the block in place.
+  * Per point, the sums run in the same index order as `Lin.solveLower` and
+  * `Lin.dot`.
   */
 final class Gp private (private[surrogate] val f: Factor,
                         alpha: Array[Double],
                         yMean: Double, yStd: Double) extends Surrogate {
 
-  /** Predictive mean and variance at `x` (Eq. 2), on the original scale. */
-  def predict(x: Array[Double]): Pred = {
-    val kv = f.rows.row(x)
-    at(kv, explained(kv))
+  /** Predictive mean and variance at `x` (Eq. 2), on the original scale:
+    * the block of one point. */
+  def predict(x: Array[Double]): Pred = predictBlock(Block.of(Array(x)))(0)
+
+  override def predictBlock(c: Block): Array[Pred] = {
+    val k = f.rows.block(c)
+    val mu = means(k)
+    at(mu, f.explained(k))
   }
 
-  /** ([[predict]], `o.predict`) at `x`. When both GPs were fitted together
-    * and selected the same lengthscale, they share L, so one kernel row
-    * k(X, x) and one solve v = L⁻¹k(X, x) serve both. */
-  def predictPair(o: Gp, x: Array[Double]): (Pred, Pred) =
+  /** ([[predictBlock]], `o.predictBlock`) on `c`. When both GPs were fitted
+    * together and selected the same lengthscale, they share L, so one
+    * kernel block k(X, C) and one solve V = L⁻¹k(X, C) serve both. */
+  def predictPair(o: Gp, c: Block): (Array[Pred], Array[Pred]) =
     if (f eq o.f) {
-      val kv = f.rows.row(x)
-      val vv = explained(kv)
-      (at(kv, vv), o.at(kv, vv))
-    } else (predict(x), o.predict(x))
+      val k = f.rows.block(c)
+      val (mu, muO) = (means(k), o.means(k))
+      val vv = f.explained(k)
+      (at(mu, vv), o.at(muO, vv))
+    } else (predictBlock(c), o.predictBlock(c))
 
-  /** |v|² with v = L⁻¹kv: the prior variance the training data explains. */
-  private def explained(kv: Array[Double]): Double = {
-    val v = Lin.solveLower(f.chol, kv)
-    Lin.dot(v, v)
+  /** The standardised means k(X, C(j))·α from the kernel block `k`. */
+  private def means(k: Array[Array[Double]]): Array[Double] = {
+    val mu = new Array[Double](k(0).length)
+    var i = 0
+    while (i < n) {
+      val ki = k(i)
+      val a = alpha(i)
+      var q = 0
+      while (q < mu.length) { mu(q) += ki(q) * a; q += 1 }
+      i += 1
+    }
+    mu
   }
 
-  /** The prediction from `kv = k(X, x)` and `vv = |L⁻¹kv|²`. */
-  private def at(kv: Array[Double], vv: Double): Pred = {
-    val muStd = Lin.dot(kv, alpha)
-    val varStd = (f.kxx + f.noise - vv).max(1e-12)
-    Pred(yMean + yStd * muStd, varStd * yStd * yStd)
+  /** The predictions from the standardised means `mu` and
+    * `vv(j) = |L⁻¹k(X, C(j))|²`. */
+  private def at(mu: Array[Double], vv: Array[Double]): Array[Pred] = {
+    val m = vv.length
+    val out = new Array[Pred](m)
+    var q = 0
+    while (q < m) {
+      val varStd = (f.kxx + f.noise - vv(q)).max(1e-12)
+      out(q) = Pred(yMean + yStd * mu(q), varStd * yStd * yStd)
+      q += 1
+    }
+    out
   }
 
   /** Leave-one-out residuals yᵢ − μ₋ᵢ on the original scale, in closed form
     * from this fit's own factor (Rasmussen & Williams 2006, §5.4.2):
-    * yStd · αᵢ / [K⁻¹]ᵢᵢ with [K⁻¹]ᵢᵢ = |L⁻¹eᵢ|². μ₋ᵢ keeps the full fit's
-    * kernel, noise and target standardisation. */
-  def looResiduals: Array[Double] = Array.tabulate(n) { i =>
-    val e = new Array[Double](n)
-    e(i) = 1.0
-    val v = Lin.solveLower(f.chol, e)
-    yStd * alpha(i) / Lin.dot(v, v)
+    * yStd · αᵢ / [K⁻¹]ᵢᵢ with [K⁻¹]ᵢᵢ = |L⁻¹eᵢ|², all n from one solve of
+    * the identity block. μ₋ᵢ keeps the full fit's kernel, noise and target
+    * standardisation. */
+  def looResiduals: Array[Double] = {
+    val kInvDiag = f.explained(Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0))
+    Array.tabulate(n)(i => yStd * alpha(i) / kInvDiag(i))
   }
 
   def n: Int = f.xs.length
@@ -132,7 +169,7 @@ object Gp {
     val best = new Array[Gp](targets.size)
     val bestMll = Array.fill(targets.size)(Double.NegativeInfinity)
     for (ls <- lsGrid) {
-      val f = new Factor(kernelOf(ls), xs, noise)
+      val f = Factor(kernelOf(ls), xs, noise)
       for (t <- targets.indices) {
         val (yStdz, yMean, yStd) = targets(t)
         val a = Lin.choleskySolve(f.chol, yStdz)
@@ -162,14 +199,22 @@ final class MetaEnsemble(bases: Vector[Surrogate], weights: Vector[Double]) exte
 
   def normalizedWeights: Vector[Double] = w
 
-  def predict(x: Array[Double]): Pred = {
+  def predict(x: Array[Double]): Pred = mix(i => bases(i).predict(x))
+
+  override def predictBlock(c: Block): Array[Pred] = {
+    val preds = bases.map(_.predictBlock(c))
+    Array.tabulate(c.m)(j => mix(i => preds(i)(j)))
+  }
+
+  /** The Eq. 12 mixture of the base predictions `p(i)`, summed in base order. */
+  private def mix(p: Int => Pred): Pred = {
     var mu = 0.0
     var va = 0.0
     var i = 0
     while (i < bases.size) {
-      val p = bases(i).predict(x)
-      mu += w(i) * p.mean
-      va += w(i) * w(i) * p.variance
+      val pi = p(i)
+      mu += w(i) * pi.mean
+      va += w(i) * w(i) * pi.variance
       i += 1
     }
     Pred(mu, va.max(1e-12))

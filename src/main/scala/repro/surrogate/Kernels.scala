@@ -15,20 +15,62 @@ trait Kernel extends Serializable {
   def rows(xs: Array[Array[Double]]): KernelRows
 }
 
-/** A kernel bound to `n` training points X: `row(x)(i)` is k(X(i), x). */
-abstract class KernelRows(val n: Int) extends Serializable {
-  /** Writes k(X(i), x) into `out(i)` for every i < m (m ≤ n). */
-  def into(x: Array[Double], out: Array[Double], m: Int): Unit
+/** `m` points, stored column-major: `cols(d)(j)` is coordinate d of
+  * point j, so one coordinate of all m points is one array and a kernel
+  * can run over the points in its inner loop.
+  */
+final class Block private (val m: Int, private[surrogate] val cols: Array[Array[Double]]) extends Serializable {
+  /** Point j's coordinates. */
+  def point(j: Int): Array[Double] = cols.map(_(j))
+}
 
-  /** k(X, x). */
-  final def row(x: Array[Double]): Array[Double] = {
-    val out = new Array[Double](n)
-    into(x, out, n)
+object Block {
+  /** The block of the points `xs`, in order; all have the same length. */
+  def of(xs: Array[Array[Double]]): Block = {
+    val m = xs.length
+    val dim = if (m == 0) 0 else xs(0).length
+    require(xs.forall(_.length == dim), "points of different dimension")
+    val cols = KernelRows.zeros(dim, m)
+    var j = 0
+    while (j < m) {
+      val x = xs(j)
+      var d = 0
+      while (d < dim) { cols(d)(j) = x(d); d += 1 }
+      j += 1
+    }
+    new Block(m, cols)
+  }
+}
+
+/** A kernel bound to `n` training points X. On a [[Block]] C of m points it
+  * gives the n×m block k(X, C) as n rows of m, with the block's points on
+  * the inner loop; the block of one point is the row k(X, x). Every inner
+  * loop indexes all its arrays by the same point index, the form the JIT
+  * vectorises.
+  */
+abstract class KernelRows(val n: Int) extends Serializable {
+  /** Writes k(X(i), C(j)) into `out(i)(j)` for every i < n and j < c.m;
+    * entries of a row from c.m on are left as they are. */
+  def into(c: Block, out: Array[Array[Double]]): Unit
+
+  /** k(X, C), as [[into]] writes it. */
+  final def block(c: Block): Array[Array[Double]] = {
+    val out = KernelRows.zeros(n, c.m)
+    into(c, out)
     out
   }
 }
 
 private object KernelRows {
+  /** An n×m matrix of zeros as n rows, without the reflective class-tag
+    * allocation `Array.ofDim` makes for the outer array. */
+  def zeros(n: Int, m: Int): Array[Array[Double]] = {
+    val a = new Array[Array[Double]](n)
+    var i = 0
+    while (i < n) { a(i) = new Array[Double](m); i += 1 }
+    a
+  }
+
   /** Column j holds `f(xs(i)(dims(j)))` for every training point i. */
   def columns(xs: Array[Array[Double]], dims: Array[Int], f: Double => Double): Array[Array[Double]] =
     Array.tabulate(dims.length)(j => Array.tabulate(xs.length)(i => f(xs(i)(dims(j)))))
@@ -36,32 +78,51 @@ private object KernelRows {
 
 /** A kernel over a subset of (numeric) dimensions with a shared
   * lengthscale ℓ, as a profile `ofSq` of the scaled squared distance
-  * s = Σ ((xᵢ − yᵢ) / ℓ)², summed in dims order.
+  * s = Σ ((xᵢ − yᵢ) · ℓ⁻¹)², summed in dims order. The product by ℓ⁻¹
+  * equals the quotient by ℓ to the bit when ℓ is a power of two, as every
+  * lengthscale the tuner uses is.
   */
 sealed abstract class SqDistKernel(dims: Array[Int], lengthscale: Double) extends Kernel {
   require(lengthscale > 0)
+  private val invLs = 1.0 / lengthscale
 
   protected def ofSq(s: Double): Double
 
   def rows(xs: Array[Array[Double]]): KernelRows = {
     val cols = KernelRows.columns(xs, dims, identity)
     new KernelRows(xs.length) {
-      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
-        Arrays.fill(out, 0, m, 0.0)
-        var j = 0
-        while (j < cols.length) {
-          val c = cols(j)
-          val xj = x(dims(j))
-          var i = 0
-          while (i < m) {
-            val d = (c(i) - xj) / lengthscale
-            out(i) += d * d
-            i += 1
-          }
-          j += 1
-        }
+      def into(c: Block, out: Array[Array[Double]]): Unit = {
+        val m = c.m
+        val inv = invLs
         var i = 0
-        while (i < m) { out(i) = ofSq(out(i)); i += 1 }
+        while (i < n) {
+          val o = out(i)
+          Arrays.fill(o, 0, m, 0.0)
+          var j = 0
+          while (j < cols.length) {
+            val xi = cols(j)(i)
+            val cj = c.cols(dims(j))
+            var q = 0
+            while (q < m) {
+              val d = (xi - cj(q)) * inv
+              o(q) += d * d
+              q += 1
+            }
+            j += 1
+          }
+          // Neighbouring entries often share s (every candidate of a
+          // suggestion has the same data size), so the profile is
+          // evaluated once per run of equal values.
+          var s = Double.NaN
+          var k = 0.0
+          var q = 0
+          while (q < m) {
+            if (o(q) != s) { s = o(q); k = ofSq(s) }
+            o(q) = k
+            q += 1
+          }
+          i += 1
+        }
       }
     }
   }
@@ -95,18 +156,34 @@ final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
   def rows(xs: Array[Array[Double]]): KernelRows = {
     val cols = KernelRows.columns(xs, dims, math.rint)
     new KernelRows(xs.length) {
-      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
-        Arrays.fill(out, 0, m, 0.0) // mismatch counts, exact in a double
+      def into(c: Block, out: Array[Array[Double]]): Unit = {
+        val m = c.m
+        val cc = KernelRows.zeros(dims.length, m) // each column rounded once
         var j = 0
-        while (j < cols.length) {
-          val c = cols(j)
-          val xj = math.rint(x(dims(j)))
-          var i = 0
-          while (i < m) { if (c(i) != xj) out(i) += 1.0; i += 1 }
+        while (j < dims.length) {
+          val cj = c.cols(dims(j))
+          var q = 0
+          while (q < m) { cc(j)(q) = math.rint(cj(q)); q += 1 }
           j += 1
         }
         var i = 0
-        while (i < m) { out(i) = byMismatch(out(i).toInt); i += 1 }
+        while (i < n) {
+          val o = out(i)
+          Arrays.fill(o, 0, m, 0.0) // mismatch counts, exact in a double
+          var j = 0
+          while (j < cols.length) {
+            val xi = cols(j)(i)
+            val cj = cc(j)
+            var q = 0
+            // Both sides are integers, so this adds exactly 1 on a
+            // mismatch and 0 otherwise, without a branch.
+            while (q < m) { o(q) += math.min(1.0, math.abs(cj(q) - xi)); q += 1 }
+            j += 1
+          }
+          var q = 0
+          while (q < m) { o(q) = byMismatch(o(q).toInt); q += 1 }
+          i += 1
+        }
       }
     }
   }
@@ -122,14 +199,21 @@ final class MixedKernel(components: Vector[Kernel], amplitude: Double = 1.0) ext
   def rows(xs: Array[Array[Double]]): KernelRows = {
     val bound = parts.map(_.rows(xs))
     new KernelRows(xs.length) {
-      def into(x: Array[Double], out: Array[Double], m: Int): Unit = {
-        Arrays.fill(out, 0, m, amplitude)
-        val part = new Array[Double](m)
+      def into(c: Block, out: Array[Array[Double]]): Unit = {
+        val m = c.m
+        (0 until n).foreach(i => Arrays.fill(out(i), 0, m, amplitude))
+        val part = KernelRows.zeros(n, m)
         var p = 0
         while (p < bound.length) {
-          bound(p).into(x, part, m)
+          bound(p).into(c, part)
           var i = 0
-          while (i < m) { out(i) *= part(i); i += 1 }
+          while (i < n) {
+            val o = out(i)
+            val pi = part(i)
+            var q = 0
+            while (q < m) { o(q) *= pi(q); q += 1 }
+            i += 1
+          }
           p += 1
         }
       }

@@ -78,4 +78,21 @@ class LinSpec extends AnyFunSuite {
   test("dot product") {
     assert(Lin.dot(Array(1.0, 2.0, 3.0), Array(4.0, 5.0, 6.0)) == 32.0)
   }
+
+  test("solveLowerBlock solves every column as solveLower does, to the bit") {
+    val (l, _) = Lin.cholesky(randomSpd(7, 5))
+    val r = new Random(6)
+    for (m <- Seq(1, 3, 40)) {
+      val b = Array.fill(7, m)(r.nextGaussian())
+      val v = b.map(_.clone())
+      Lin.solveLowerBlock(l, v)
+      (0 until m).foreach { j =>
+        val col = Lin.solveLower(l, b.map(_(j)))
+        (0 until 7).foreach { i =>
+          assert(java.lang.Double.doubleToRawLongBits(v(i)(j)) ==
+            java.lang.Double.doubleToRawLongBits(col(i)), s"m=$m j=$j i=$i")
+        }
+      }
+    }
+  }
 }

@@ -2,6 +2,7 @@ package repro.surrogate
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.env.FleetGen
 import repro.linalg.Lin
 
 class GpSpec extends AnyFunSuite {
@@ -9,6 +10,12 @@ class GpSpec extends AnyFunSuite {
 
   private def fit1d(xs: Seq[Double], ys: Seq[Double], noise: Double = 1e-6): Gp =
     Gp.fit(xs.map(Array(_)).toArray, ys.toArray, kOf, noise)
+
+  /** `a.predictPair(b, ·)` on the points `xs`, as one block. */
+  private def pair(a: Gp, b: Gp, xs: Array[Array[Double]]): Seq[(Pred, Pred)] = {
+    val (pa, pb) = a.predictPair(b, Block.of(xs))
+    pa.toSeq.zip(pb)
+  }
 
   test("GP interpolates noiseless observations") {
     val xs = Seq(0.0, 0.25, 0.5, 0.75, 1.0)
@@ -101,11 +108,9 @@ class GpSpec extends AnyFunSuite {
     val Vector(a, b) = Gp.fitAll(xs, Seq(xs.map(x => math.sin(5 * x(0)) + x(1)), xs.map(x => x(0) * x(1))),
       _ => k, lsGrid = Seq(1.0))
     assert(a.f eq b.f)
-    (0 until 20).foreach { _ =>
-      val x = Array(r.nextDouble(), r.nextDouble())
-      assert(a.predictPair(b, x) == ((a.predict(x), b.predict(x))))
-      assert(b.predictPair(a, x) == ((b.predict(x), a.predict(x))))
-    }
+    val pts = Array.fill(20)(Array(r.nextDouble(), r.nextDouble()))
+    assert(pair(a, b, pts) == pts.toSeq.map(x => (a.predict(x), b.predict(x))))
+    assert(pair(b, a, pts) == pts.toSeq.map(x => (b.predict(x), a.predict(x))))
   }
 
   test("predictPair falls back for another kernel or training array") {
@@ -118,10 +123,8 @@ class GpSpec extends AnyFunSuite {
       Gp.fit(xs.map(_.clone()), ys.reverse, _ => k, lsGrid = Seq(1.0)))
     others.foreach { o =>
       assert(!(gp.f eq o.f))
-      Seq(0.0, 0.3, 0.5, 0.77, 1.2).foreach { v =>
-        val x = Array(v)
-        assert(gp.predictPair(o, x) == ((gp.predict(x), o.predict(x))))
-      }
+      val pts = Array(0.0, 0.3, 0.5, 0.77, 1.2).map(Array(_))
+      assert(pair(gp, o, pts) == pts.toSeq.map(x => (gp.predict(x), o.predict(x))))
     }
   }
 
@@ -136,10 +139,12 @@ class GpSpec extends AnyFunSuite {
     // GPs that selected the same lengthscale share its factor.
     val shared = for (a <- together; b <- together if a ne b) yield a.f eq b.f
     assert(shared.contains(true) && shared.contains(false))
-    (xs.take(3) ++ Array.fill(20)(point())).foreach { x =>
+    val pts = xs.take(3) ++ Array.fill(20)(point())
+    pts.foreach { x =>
       together.zip(alone).foreach { case (t, a) => assert(t.predict(x) == a.predict(x)) }
-      for (a <- together; b <- together) assert(a.predictPair(b, x) == ((a.predict(x), b.predict(x))))
     }
+    for (a <- together; b <- together)
+      assert(pair(a, b, pts) == pts.toSeq.map(x => (a.predict(x), b.predict(x))))
   }
 
   test("looResiduals equal a leave-one-out solve with the full fit's kernel and standardisation") {
@@ -165,6 +170,62 @@ class GpSpec extends AnyFunSuite {
       assert(math.abs(ys(i) - loo(i) - mu) < 1e-9, s"point $i")
     }
     assert(loo.exists(v => math.abs(v) > 1e-3))
+  }
+
+  test("block predictions equal a per-point reference to the bit") {
+    val r = new Random(21)
+    val space = FleetGen.hibenchSpace
+    val noise = 1e-3
+    for (ds <- Seq(false, true); m <- Seq(1, 400)) {
+      def point() = {
+        val u = space.toUnit(space.sampleRandom(r))
+        if (ds) u :+ r.nextDouble() else u
+      }
+      val xs = Array.fill(20)(point())
+      val yA = xs.map(x => math.sin(3 * x(0)) + x(1) + 0.1 * r.nextGaussian())
+      val yB = xs.map(x => x(2) * x(3) + 0.1 * r.nextGaussian())
+      def kernel(ls: Double) =
+        MixedKernel.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
+      def refKernel(ls: Double) =
+        KernelRef.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
+
+      // What predict computed before blocks, one point at a time: the
+      // reference kernel row, then Lin.solveLower and Lin.dot.
+      def reference(ls: Double, ys: Array[Double]): Array[Double] => Pred = {
+        val k = refKernel(ls)
+        val n = xs.length
+        val (l, _) = Lin.cholesky(Array.tabulate(n)(i =>
+          Array.tabulate(i + 1)(j => if (i == j) k(xs(j), xs(i)) + noise else k(xs(j), xs(i)))))
+        val yMean = ys.sum / n
+        val yStd = math.sqrt(ys.map(y => (y - yMean) * (y - yMean)).sum / n).max(1e-8)
+        val alpha = Lin.choleskySolve(l, ys.map(y => (y - yMean) / yStd))
+        x => {
+          val kv = xs.map(k(_, x))
+          val v = Lin.solveLower(l, kv)
+          val varStd = (k(xs(0), xs(0)) + noise - Lin.dot(v, v)).max(1e-12)
+          Pred(yMean + yStd * Lin.dot(kv, alpha), varStd * yStd * yStd)
+        }
+      }
+
+      val pts = xs.take(m) ++ Array.fill(m - xs.take(m).length)(point())
+      val block = Block.of(pts)
+      val Vector(sharedA, sharedB) = Gp.fitAll(xs, Seq(yA, yB), _ => kernel(1.0), noise, lsGrid = Seq(1.0))
+      val splitB = Gp.fit(xs, yB, _ => kernel(2.0), noise, lsGrid = Seq(1.0))
+      assert((sharedA.f eq sharedB.f) && !(sharedA.f eq splitB.f))
+      def bits(ps: Seq[Pred]) = ps.map(p =>
+        (java.lang.Double.doubleToRawLongBits(p.mean), java.lang.Double.doubleToRawLongBits(p.variance)))
+      val refA = bits(pts.toSeq.map(reference(1.0, yA)))
+      for ((b, ls) <- Seq((sharedB, 1.0), (splitB, 2.0))) {
+        val (pa, pb) = sharedA.predictPair(b, block)
+        assert(bits(pa.toSeq) == refA, s"ds=$ds m=$m ls=$ls")
+        assert(bits(pb.toSeq) == bits(pts.toSeq.map(reference(ls, yB))), s"ds=$ds m=$m ls=$ls")
+        assert(bits(b.predictBlock(block).toSeq) == bits(pb.toSeq))
+      }
+      assert(bits(sharedA.predictBlock(block).toSeq) == refA)
+      assert(bits(pts.toSeq.map(sharedA.predict)) == refA)
+      val me = new MetaEnsemble(Vector(sharedA, splitB), Vector(0.3, 0.7))
+      assert(bits(me.predictBlock(block).toSeq) == bits(pts.toSeq.map(me.predict)))
+    }
   }
 
   test("Pred.sigma is sqrt of variance, floored") {

@@ -4,17 +4,17 @@ import repro.space.ConfigSpace
 
 /** Per-pair reference for the kernels in `Kernels.scala`: k(x, y) for one
   * pair, built from the same dims and lengthscales. Production code only
-  * evaluates kernels through bound rows; the tests check those rows against
-  * this arithmetic, which sums and multiplies in the rows' order, so the
-  * two agree to the bit.
+  * evaluates kernels through bound rows over a block of points; the tests
+  * check those blocks against this arithmetic, which scales by ℓ⁻¹ and sums
+  * and multiplies in the blocks' order, so the two agree to the bit.
   */
 object KernelRef {
   type K = (Array[Double], Array[Double]) => Double
 
-  /** Σ ((x(d) − y(d)) / ℓ)² in dims order. */
+  /** Σ ((x(d) − y(d)) · ℓ⁻¹)² in dims order. */
   private def sqDist(dims: Array[Int], ls: Double, x: Array[Double], y: Array[Double]): Double = {
     var s = 0.0
-    dims.foreach { d => val t = (x(d) - y(d)) / ls; s += t * t }
+    dims.foreach { d => val t = (x(d) - y(d)) * (1.0 / ls); s += t * t }
     s
   }
 

@@ -8,8 +8,11 @@ import repro.space.SparkParams
 class KernelsSpec extends AnyFunSuite {
   private val cs = SparkParams.space()
 
+  /** k(X, y): the block of the one point y. */
+  private def row(rows: KernelRows, y: Array[Double]): Array[Double] = rows.block(Block.of(Array(y))).map(_(0))
+
   /** k(x, y) through the production rows: `k` bound to the one point x. */
-  private def kv(k: Kernel, x: Array[Double], y: Array[Double]): Double = k.rows(Array(x)).row(y)(0)
+  private def kv(k: Kernel, x: Array[Double], y: Array[Double]): Double = row(k.rows(Array(x)), y)(0)
 
   test("Matern52 at zero distance is 1") {
     val k = new Matern52(Array(0, 1, 2), 0.5)
@@ -35,8 +38,8 @@ class KernelsSpec extends AnyFunSuite {
   test("Matern52 over empty dims is constant 1") {
     val k = new Matern52(Array.empty, 0.5)
     assert(kv(k, Array(0.1), Array(0.9)) == 1.0)
-    assert(k.rows(Array(Array(0.1), Array(0.5))).row(Array(0.9)).toSeq == Seq(1.0, 1.0))
-    assert(new SqExp(Array.empty, 0.5).rows(Array(Array(0.1))).row(Array(0.9)).toSeq == Seq(1.0))
+    assert(row(k.rows(Array(Array(0.1), Array(0.5))), Array(0.9)).toSeq == Seq(1.0, 1.0))
+    assert(row(new SqExp(Array.empty, 0.5).rows(Array(Array(0.1))), Array(0.9)).toSeq == Seq(1.0))
   }
 
   test("SqExp matches exp(-d²/2ℓ²)") {
@@ -89,7 +92,7 @@ class KernelsSpec extends AnyFunSuite {
     val r = new Random(4)
     def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
     for (space <- Seq(FleetGen.hibenchSpace, FleetGen.prodSpace); ds <- Seq(false, true);
-         n <- Seq(1, 2, 17, 30); ls <- Seq(0.5, 1.0, 2.0)) {
+         n <- Seq(1, 2, 17, 30); ls <- Seq(0.4, 0.5, 1.0, 2.0)) {
       // Categorical coordinates are moved off their integer index by up to
       // ±0.3, so a row must round them as the reference does.
       def point() = {
@@ -103,17 +106,33 @@ class KernelsSpec extends AnyFunSuite {
       val k = MixedKernel.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
       val ref = KernelRef.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
       val rows = k.rows(xs)
-      (xs ++ Array.fill(5)(point())).foreach { x =>
-        val row = rows.row(x)
-        assert(row.length == n)
+      val queries = xs ++ Array.fill(5)(point())
+      // All queries as one block, written into longer rows: column j is
+      // query j's row, and the entries past m stay as they were.
+      val m = queries.length
+      val block = Array.fill(n, m + 3)(-1.0)
+      rows.into(Block.of(queries), block)
+      assert(block.forall(_.drop(m).forall(_ == -1.0)))
+      queries.zipWithIndex.foreach { case (x, j) =>
+        val kx = row(rows, x)
+        assert(kx.length == n)
         (0 until n).foreach { i =>
-          assert(bits(row(i)) == bits(ref(xs(i), x)), s"n=$n ds=$ds ls=$ls i=$i")
+          assert(bits(kx(i)) == bits(ref(xs(i), x)), s"n=$n ds=$ds ls=$ls i=$i")
+          assert(bits(block(i)(j)) == bits(kx(i)), s"n=$n ds=$ds ls=$ls i=$i j=$j")
         }
-        val prefix = Array.fill(n)(-1.0)
-        rows.into(x, prefix, n / 2)
-        assert(prefix.take(n / 2).map(bits).toSeq == row.take(n / 2).map(bits).toSeq)
-        assert(prefix.drop(n / 2).forall(_ == -1.0))
       }
+    }
+  }
+
+  test("scaling by 1/ℓ equals dividing by ℓ to the bit for power-of-two ℓ") {
+    // Every lengthscale the tuner and the warm start use is a power of two,
+    // so the kernels' product form leaves every history where the quotient
+    // form put it.
+    val r = new Random(12)
+    def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
+    for (ls <- Seq(0.25, 0.5, 1.0, 2.0); _ <- 0 until 10000) {
+      val d = r.nextDouble() - r.nextDouble()
+      assert(bits(d / ls) == bits(d * (1.0 / ls)), s"ls=$ls d=$d")
     }
   }
 }

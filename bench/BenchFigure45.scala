@@ -17,7 +17,7 @@ class BenchFigure45 extends SparkSpec {
 
   private lazy val cells = HiBenchCompareJob.allCells(spark, seeds = Seeds, budget = 30)
 
-  private def avgOver(beta: Double, method: String, agg: Map[(String, String), Double]) = {
+  private def avgOver(method: String, agg: Map[(String, String), Double]) = {
     val tasks = repro.env.Workloads.six.map(_.name)
     tasks.map(t => agg((t, method))).sum / tasks.size
   }
@@ -47,7 +47,7 @@ class BenchFigure45 extends SparkSpec {
   test("ours is the best or near-best method on average runtime (Figure 4)") {
     val m = HiBenchCompareJob.means(cells, 1.0)
     val methods = repro.baselines.Baselines.all.map(_.name)
-    val avg = methods.map(meth => meth -> avgOver(1.0, meth, m)).toMap
+    val avg = methods.map(meth => meth -> avgOver(meth, m)).toMap
     val best = avg.values.min
     assert(avg("Ours") <= best * 1.10, avg.toString)
   }
@@ -55,7 +55,7 @@ class BenchFigure45 extends SparkSpec {
   test("ours achieves the best average cost among all methods (Figure 5)") {
     val m = HiBenchCompareJob.means(cells, 0.5)
     val methods = repro.baselines.Baselines.all.map(_.name)
-    val avg = methods.map(meth => meth -> avgOver(0.5, meth, m)).toMap
+    val avg = methods.map(meth => meth -> avgOver(meth, m)).toMap
     val competitors = avg.filter(_._1 != "Ours").values.min
     assert(avg("Ours") <= competitors * 1.10, avg.toString)
   }
@@ -63,8 +63,8 @@ class BenchFigure45 extends SparkSpec {
   test("BO methods beat the ML+GA methods under the 30-trial budget") {
     val m = HiBenchCompareJob.means(cells, 1.0)
     val bo = Seq("CherryPick", "Tuneful", "LOCAT", "Ours")
-      .map(avgOver(1.0, _, m)).min
-    val ml = Seq("RFHOC", "DAC").map(avgOver(1.0, _, m)).min
+      .map(avgOver(_, m)).min
+    val ml = Seq("RFHOC", "DAC").map(avgOver(_, m)).min
     assert(bo <= ml * 1.05)
   }
 }

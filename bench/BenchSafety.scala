@@ -3,6 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Objective, OnlineTuner, TunerSettings}
 import repro.env.{FleetGen, SparkClusterSim, Workloads}
+import repro.jobs.Table4Job
 
 /** §6.5 safety ablation: percentage of safe (constraint-satisfying)
   * configurations suggested during tuning, with and without the safety
@@ -22,7 +23,7 @@ class BenchSafety extends AnyFunSuite {
   private def safePct(task: String, safety: Boolean): Double = {
     val spec = Workloads.byName(task)
     val sim = new SparkClusterSim(spec, cs)
-    val manual = FleetGen.manualConfig(cs, 16, 4, 8, parallelism = 256)
+    val manual = Table4Job.manualConfig
     val manualRt = sim.expectedRuntime(manual, spec.inputGB)
     val obj = Objective(0.5, tMax = 2.0 * manualRt)
     val counts = (0 until Seeds).map { s =>

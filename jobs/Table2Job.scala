@@ -23,8 +23,7 @@ object Table2Job {
         f"${r.postRuntime}%11.2f ${r.postCost}%12.2f ${r.instances}%5.0f ${r.cores}%5.0f " +
         f"${r.memoryGB}%4.0f ${r.bestIter}%5d\n")
     }
-    def avgRed(f: repro.core.FleetRow => Double, g: repro.core.FleetRow => Double): Double =
-      100.0 * rs.map { case (_, r) => (f(r) - g(r)) / f(r) }.sum / rs.size
+    val avgRed = TuningService.avgReduction(rs.map(_._2)) _
     sb.append(f"Avg reduction on ${rs.size} tasks: " +
       f"memory ${avgRed(_.preMemGBh, _.postMemGBh)}%.2f%%, " +
       f"cpu ${avgRed(_.preCpuCoreH, _.postCpuCoreH)}%.2f%%, " +

@@ -83,9 +83,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     } else u
   }
 
-  private def kernelOf(ls: Double): MixedKernel =
-    MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
-      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
+  private val kernelOf = MixedKernel.family(cs, withDataSize = settings.useDataSize)
 
   /** Weight of the current-task surrogate in the Eq. 12 ensemble [25]:
     * rank agreement of its leave-one-out means with the targets, floored

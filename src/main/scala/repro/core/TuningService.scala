@@ -138,9 +138,13 @@ object TuningService {
   final case class Table3(underMem: Double, underCpu: Double, underRt: Double,
                           postMem: Double, postCpu: Double, postRt: Double)
 
+  /** Average reduction (%) from `before` to `after` over `rows`, each row's
+    * reduction relative to its own `before`. Positive = reduction. */
+  def avgReduction(rows: Seq[FleetRow])(before: FleetRow => Double, after: FleetRow => Double): Double =
+    100.0 * rows.map(r => (before(r) - after(r)) / before(r)).sum / rows.size
+
   def aggregate(rows: Seq[FleetRow]): Table3 = {
-    def red(f: FleetRow => Double, g: FleetRow => Double): Double =
-      100.0 * rows.map(r => (f(r) - g(r)) / f(r)).sum / rows.size
+    val red = avgReduction(rows) _
     Table3(
       red(_.preMemGBh, _.underMemGBh), red(_.preCpuCoreH, _.underCpuCoreH),
       red(_.preRuntime, _.underRuntime),

@@ -18,8 +18,7 @@ object SourceTask {
                   history: Vector[Observation]): SourceTask = {
     val xs = history.map(o => cs.toUnit(o.config)).toArray
     val ys = history.map(o => math.log(o.objective.max(1e-9))).toArray
-    val gp = Gp.fit(xs, ys, ls => MixedKernel.forSpace(cs, withDataSize = false,
-      numLs = 0.5 * ls, catLs = ls, amplitude = 1.0))
+    val gp = Gp.fit(xs, ys, MixedKernel.family(cs, withDataSize = false))
     SourceTask(name, metaFeatures, history, gp)
   }
 }

@@ -20,12 +20,9 @@ trait Surrogate extends Serializable {
 /** One grid lengthscale's kernel bound to the training inputs, with the
   * Cholesky factor L of K + τ²I. GPs fitted together on the same inputs
   * that select the same lengthscale share one instance.
-  *
-  * @param kxx k(x, x), the same for every x because the kernels are
-  *            stationary
   */
 private final class Factor private (val rows: KernelRows, val xs: Array[Array[Double]],
-                                    val noise: Double, val kxx: Double,
+                                    val noise: Double,
                                     val chol: Array[Array[Double]]) extends Serializable {
   val logDet: Double = Lin.logDet(chol)
 
@@ -44,14 +41,15 @@ private final class Factor private (val rows: KernelRows, val xs: Array[Array[Do
 }
 
 private object Factor {
-  def apply(kernel: Kernel, xs: Array[Array[Double]], noise: Double): Factor = {
+  def apply(kernel: MixedKernel, xs: Array[Array[Double]], noise: Double): Factor = {
     val rows = kernel.rows(xs)
-    val gram = rows.block(Block.of(xs)) // K(p, q) at gram(p)(q)
-    // Lin.cholesky reads only the lower triangle, so row i holds just
-    // K(0..i, i) (K is symmetric).
-    val chol = Lin.cholesky(Array.tabulate(xs.length)(i => Array.tabulate(i + 1)(k =>
-      if (k == i) gram(k)(i) + noise else gram(k)(i))))._1
-    new Factor(rows, xs, noise, gram(0)(0), chol)
+    // K(p, q) at gram(p)(q). Lin.cholesky reads only the lower triangle,
+    // and the gram is symmetric to the bit: entries (p, q) and (q, p) see
+    // ±(x_p − x_q), dimension by dimension in the same order.
+    val gram = rows.block(Block.of(xs))
+    var i = 0
+    while (i < xs.length) { gram(i)(i) += noise; i += 1 }
+    new Factor(rows, xs, noise, Lin.cholesky(gram)._1)
   }
 }
 
@@ -114,7 +112,7 @@ final class Gp private (private[surrogate] val f: Factor,
     val out = new Array[Pred](m)
     var q = 0
     while (q < m) {
-      val varStd = (f.kxx + f.noise - vv(q)).max(1e-12)
+      val varStd = (1.0 + f.noise - vv(q)).max(1e-12) // k(x, x) = 1
       out(q) = Pred(yMean + yStd * mu(q), varStd * yStd * yStd)
       q += 1
     }
@@ -138,7 +136,7 @@ object Gp {
   /** Fit a GP on raw (unit-encoded) inputs and targets: [[fitAll]] with one
     * target. */
   def fit(xs: Array[Array[Double]], ys: Array[Double],
-          kernelOf: Double => Kernel,
+          kernelOf: Double => MixedKernel,
           noise: Double = 1e-4,
           lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Gp =
     fitAll(xs, Seq(ys), kernelOf, noise, lsGrid).head
@@ -152,7 +150,7 @@ object Gp {
     *                 `lsGrid`
     */
   def fitAll(xs: Array[Array[Double]], yss: Seq[Array[Double]],
-             kernelOf: Double => Kernel,
+             kernelOf: Double => MixedKernel,
              noise: Double = 1e-4,
              lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Vector[Gp] = {
     require(xs.nonEmpty && yss.forall(_.length == xs.length), "empty or mismatched training data")

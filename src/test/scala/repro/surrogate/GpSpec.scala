@@ -6,7 +6,12 @@ import repro.env.FleetGen
 import repro.linalg.Lin
 
 class GpSpec extends AnyFunSuite {
-  private def kOf(ls: Double): Kernel = new Matern52(Array(0), 0.5 * ls)
+  private val none = Array.empty[Int]
+
+  /** Matérn-5/2 over the numeric dims `dims` alone. */
+  private def matern52(dims: Array[Int], ls: Double) = new MixedKernel(dims, none, none, ls, 1.0, 1.0)
+
+  private def kOf(ls: Double): MixedKernel = matern52(Array(0), 0.5 * ls)
 
   private def fit1d(xs: Seq[Double], ys: Seq[Double], noise: Double = 1e-6): Gp =
     Gp.fit(xs.map(Array(_)).toArray, ys.toArray, kOf, noise)
@@ -104,7 +109,7 @@ class GpSpec extends AnyFunSuite {
   test("a shared kernel row gives the same prediction as predict") {
     val r = new Random(3)
     val xs = Array.fill(12)(Array(r.nextDouble(), r.nextDouble()))
-    val k = new Matern52(Array(0, 1), 0.4)
+    val k = matern52(Array(0, 1), 0.4)
     val Vector(a, b) = Gp.fitAll(xs, Seq(xs.map(x => math.sin(5 * x(0)) + x(1)), xs.map(x => x(0) * x(1))),
       _ => k, lsGrid = Seq(1.0))
     assert(a.f eq b.f)
@@ -116,10 +121,10 @@ class GpSpec extends AnyFunSuite {
   test("predictPair falls back for another kernel or training array") {
     val xs = Array(Array(0.1), Array(0.5), Array(0.9))
     val ys = Array(1.0, 2.0, 0.5)
-    val k = new Matern52(Array(0), 0.5)
+    val k = matern52(Array(0), 0.5)
     val gp = Gp.fit(xs, ys, _ => k, lsGrid = Seq(1.0))
     val others = Seq(
-      Gp.fit(xs, ys.reverse, _ => new Matern52(Array(0), 0.5), lsGrid = Seq(1.0)),
+      Gp.fit(xs, ys.reverse, _ => matern52(Array(0), 0.5), lsGrid = Seq(1.0)),
       Gp.fit(xs.map(_.clone()), ys.reverse, _ => k, lsGrid = Seq(1.0)))
     others.foreach { o =>
       assert(!(gp.f eq o.f))
@@ -152,7 +157,7 @@ class GpSpec extends AnyFunSuite {
     // Two numeric dims (Matérn) and one three-way categorical (Hamming).
     val xs = Array.fill(12)(Array(r.nextDouble(), r.nextDouble(), r.nextInt(3).toDouble))
     val ys = xs.map(x => math.sin(4 * x(0)) + x(1) * x(1) + 0.5 * x(2) + 0.05 * r.nextGaussian())
-    val k = new MixedKernel(Vector(new Matern52(Array(0, 1), 0.4), new Hamming(Array(2), 1.0)))
+    val k = new MixedKernel(Array(0, 1), Array(2), none, 0.4, 1.0, 1.0)
     val noise = 1e-3
     val gp = Gp.fit(xs, ys, _ => k, noise, lsGrid = Seq(1.0))
     val ref = KernelRef.mixed(Seq(KernelRef.matern52(Array(0, 1), 0.4), KernelRef.hamming(Array(2), 1.0)))
@@ -184,8 +189,7 @@ class GpSpec extends AnyFunSuite {
       val xs = Array.fill(20)(point())
       val yA = xs.map(x => math.sin(3 * x(0)) + x(1) + 0.1 * r.nextGaussian())
       val yB = xs.map(x => x(2) * x(3) + 0.1 * r.nextGaussian())
-      def kernel(ls: Double) =
-        MixedKernel.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
+      val kernel = MixedKernel.family(space, withDataSize = ds)
       def refKernel(ls: Double) =
         KernelRef.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
 

@@ -58,7 +58,7 @@ final class OnlineTuner(sim: SparkClusterSim,
                         metaBases: Vector[(Surrogate, Double)] = Vector.empty) extends Controller {
 
   private val cs: ConfigSpace = sim.cs
-  private val rng = new Random(settings.seed)
+  private val rng = new Random(new UnsyncRandom(settings.seed))
   private val safeRegion = new SafeRegion(settings.gamma)
 
   val subspace = new Subspace(cs, SparkParams.ExpertRanking,
@@ -72,16 +72,14 @@ final class OnlineTuner(sim: SparkClusterSim,
     (warmStart ++ lds).take(settings.nInit.max(warmStart.size))
   }
 
-  /** Unit-encode a config, appending the normalized data size when the
-    * datasize-aware surrogate is enabled (§3.3 Dynamic Workload Support). */
-  private def encode(c: Config, dsGB: Double): Array[Double] = {
-    val u = cs.toUnit(c)
-    if (settings.useDataSize) {
-      val x = java.util.Arrays.copyOf(u, u.length + 1)
-      x(u.length) = sim.spec.dataSizeUnit(dsGB)
-      x
-    } else u
-  }
+  /** The coordinates a run on `dsGB` GB adds after the config's: the
+    * normalized data size when the datasize-aware surrogate is enabled
+    * (§3.3 Dynamic Workload Support), else none. */
+  private def dsCoords(dsGB: Double): Array[Double] =
+    if (settings.useDataSize) Array(sim.spec.dataSizeUnit(dsGB)) else Array.emptyDoubleArray
+
+  /** Unit-encode a config run on `dsGB` GB. */
+  private def encode(c: Config, dsGB: Double): Array[Double] = cs.toUnit(c) ++ dsCoords(dsGB)
 
   private val kernelOf = MixedKernel.family(cs, withDataSize = settings.useDataSize)
 
@@ -133,8 +131,9 @@ final class OnlineTuner(sim: SparkClusterSim,
 
     val best = history.best.get
     val yBestLog = math.log(best.objective.max(1e-9))
-    val dsExtra = if (settings.useDataSize)
-      Array(sim.spec.dataSizeUnit(dsGB)) else Array.empty[Double]
+    // This run's data-size coordinate, shared by the AGD step and every
+    // candidate.
+    val dsExtra = dsCoords(dsGB)
 
     // --- AGD branch (every N_AGD iterations; Algorithm 2 lines 2–4) -----
     if (isAgdRun(obs.size + 1)) {
@@ -159,56 +158,52 @@ final class OnlineTuner(sim: SparkClusterSim,
     val free: Set[Int] =
       if (settings.useSubspace && obs.size >= settings.freezeSubspaceAt) subspace.freeDims
       else (0 until cs.dim).toSet
-    val candidates: Vector[Config] = {
+    val candidates = {
       // TuRBO-style mixture inside the sub-space: uniform coverage of the
       // free dims plus local moves around the incumbents, with a small
       // global-restart stream.
       val nLoc = if (settings.useLocalMoves) (settings.nCandidates * 0.5).toInt else 0
       val nSub = (settings.nCandidates * 0.4).toInt + (settings.nCandidates * 0.5).toInt - nLoc
       val nGlob = settings.nCandidates - nSub - nLoc
-      cs.sampleInSubspace(anchors, free, rng, nSub) ++
-        Vector.tabulate(nLoc)(i => cs.perturbInSubspace(anchors(i % anchors.size), free, rng, sigma = 0.15)) ++
-        Vector.fill(nGlob)(cs.sampleRandom(rng))
+      cs.drawPool(anchors, free, rng, nSub, nLoc, nGlob, sigma = 0.15, extra = dsExtra)
     }
 
     // The whole pool is scored as one block. Without a reader of the
     // runtime prediction, its slot holds the objective's.
     val logTMax = math.log(objective.tMax)
     val readsRt = (settings.useSafety || settings.useEic) && !objective.tMax.isPosInfinity
-    val block = Block.of(candidates.map(encode(_, dsGB)).toArray)
+    val block = Block.of(candidates.unit)
     val (pObjs, pRts) =
       if (!readsRt) { val p = objSurrogate.predictBlock(block); (p, p) }
       else if (objSurrogate eq gpObjLocal) gpObjLocal.predictPair(gpRt, block)
       else (objSurrogate.predictBlock(block), gpRt.predictBlock(block))
-    val scored = candidates.indices.map { j =>
-      val c = candidates(j)
-      (c, pObjs(j), pRts(j), sim.resource(c)) // white-box resource (§4.3)
-    }
 
-    // Resource constraint is analytic; runtime constraint via safe region.
-    val resourceOk = scored.filter(_._4 <= objective.rMax)
-    val pool0 = if (resourceOk.nonEmpty) resourceOk else scored
+    // Resource constraint is analytic (white-box, §4.3); runtime
+    // constraint via safe region. Candidates are indices into the pool.
+    val all = 0 until candidates.size
+    val resourceOk = all.filter(j => sim.resourceOfRow(candidates.raw(j)) <= objective.rMax)
+    val pool0 = if (resourceOk.nonEmpty) resourceOk else all
     val pool =
       if (!settings.useSafety || objective.tMax.isPosInfinity) pool0
       else {
-        val safe = pool0.filter { case (_, _, pRt, _) => safeRegion.isSafe(Seq((pRt, logTMax))) }
+        val safe = pool0.filter(j => safeRegion.isSafe(Seq((pRts(j), logTMax))))
         if (safe.nonEmpty) safe
         else {
           // Cold start / empty safe set: expand conservatively from the
           // incumbent instead of free-ranging — keep only the quartile
           // with the lowest runtime upper bound (SafeOpt-style, [69]).
-          val ranked = pool0.sortBy { case (_, _, pRt, _) => safeRegion.upperBound(pRt) }
+          val ranked = pool0.sortBy(j => safeRegion.upperBound(pRts(j)))
           ranked.take((ranked.size / 4).max(1))
         }
       }
 
     val useEic = settings.useEic && !objective.tMax.isPosInfinity
-    val withEic = pool.map { case (c, pObj, pRt, _) =>
-      (c, Acquisition.eic(pObj, yBestLog, if (useEic) Seq((pRt, logTMax)) else Nil))
+    val withEic = pool.map { j =>
+      (j, Acquisition.eic(pObjs(j), yBestLog, if (useEic) Seq((pRts(j), logTMax)) else Nil))
     }
-    val (bestCand, maxEic) = withEic.maxBy(_._2)
+    val (jBest, maxEic) = withEic.maxBy(_._2)
     if (settings.stopEi > 0 && obs.size > settings.nInit && maxEic < settings.stopEi) None
-    else Some(bestCand)
+    else Some(candidates.config(jBest))
   }
 
   /** §3.3 restarting criterion: continuous degradation — the incumbent's

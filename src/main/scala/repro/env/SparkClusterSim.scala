@@ -193,12 +193,14 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
   private val memoryDim = cs.indexOf(SP.ExecMemory)
 
   /** Resource function R(x) — white-box, analytic (§4.3). */
-  def resource(c: Config): Double = {
-    val e = c(instancesDim)
-    val cc = c(coresDim)
-    val m = c(memoryDim)
-    e * (cc + cMem * m)
-  }
+  def resource(c: Config): Double = resourceOf(c(instancesDim), c(coresDim), c(memoryDim))
+
+  /** R(x) of the raw values `x` in space order: `resource(Config(x))`
+    * without building the config. */
+  def resourceOfRow(x: Array[Double]): Double =
+    resourceOf(x(instancesDim), x(coresDim), x(memoryDim))
+
+  private def resourceOf(e: Double, cc: Double, m: Double): Double = e * (cc + cMem * m)
 
   /** Execute run number `iter` with configuration `c`: applies data-size
     * drift and multiplicative log-normal noise. */

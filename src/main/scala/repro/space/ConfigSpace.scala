@@ -114,10 +114,16 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   def toUnit(c: Config): Array[Double] = {
     val out = new Array[Double](dim)
     var i = 0
-    while (i < dim) {
-      out(i) = if (kind(i) == CatKind) c(i) else unitOf(i, c(i))
-      i += 1
-    }
+    while (i < dim) { out(i) = encode(i, c(i)); i += 1 }
+    out
+  }
+
+  /** The unit row of raw values `r`, followed by `extra`. */
+  private def unitRow(r: Array[Double], extra: Array[Double]): Array[Double] = {
+    val out = new Array[Double](dim + extra.length)
+    var i = 0
+    while (i < dim) { out(i) = encode(i, r(i)); i += 1 }
+    System.arraycopy(extra, 0, out, dim, extra.length)
     out
   }
 
@@ -133,6 +139,11 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
     // A unit draw in [0,1) selects a category uniformly.
     else clipDim(i, if (u >= 0.0 && u < 1.0) math.floor(u * card(i)) else u)
 
+  /** Unit coordinate of raw value `v` of dimension `i`; a category's
+    * index is its own coordinate. */
+  private def encode(i: Int, v: Double): Double =
+    if (kind(i) == CatKind) v else unitOf(i, v)
+
   private def unitOf(i: Int, v: Double): Double =
     if (isLog(i)) (math.log(v.max(lo(i))) - logLo(i)) / logSpan(i)
     else ((v - lo(i)) / (hi(i) - lo(i))).max(0.0).min(1.0)
@@ -145,7 +156,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
 
   /** Uniform random configuration. */
   def sampleRandom(rng: Random): Config =
-    fromUnit(Array.fill(dim)(rng.nextDouble()))
+    drawPool(Nil, Set.empty, rng, nSub = 0, nLoc = 0, nGlob = 1, unitRows = false).config(0)
 
   /** `n` uniform random configurations. */
   def sampleRandom(rng: Random, n: Int): Vector[Config] =
@@ -157,48 +168,107 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
 
   /** Perturb only the dims in `free`, pinning the rest to `anchor` —
     * TuRBO-style local exploration inside the sub-space. `anchor` must be
-    * legal (`clip(anchor) == anchor`): a pinned dim is decoded back from
-    * its unit encoding, which is the identity only on legal values. */
+    * legal (`clip(anchor) == anchor`). */
   def perturbInSubspace(anchor: Config, free: Set[Int], rng: Random,
-                        sigma: Double = 0.2, pCat: Double = 0.25): Config = {
-    val u = toUnit(anchor)
-    free.foreach { i =>
-      if (!isCat(i)) u(i) = (u(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
-      else if (rng.nextDouble() < pCat) u(i) = rng.nextInt(card(i)).toDouble
-    }
-    fromUnit(u)
-  }
+                        sigma: Double = 0.2, pCat: Double = 0.25): Config =
+    drawPool(Seq(anchor), free, rng, nSub = 0, nLoc = 1, nGlob = 0, sigma, pCat, unitRows = false).config(0)
 
   /** Restrict sampling to a sub-space: dims in `free` vary, the rest are
-    * pinned to `anchor`'s values (Eq. 5 sub-space with an anchor point). */
+    * pinned to `anchor`'s values (Eq. 5 sub-space with an anchor point).
+    * `anchor` must be legal. */
   def sampleInSubspace(anchor: Config, free: Set[Int], rng: Random): Config =
-    sampleInSubspace(Seq(anchor), free, rng, 1).head
+    drawPool(Seq(anchor), free, rng, nSub = 1, nLoc = 0, nGlob = 0, unitRows = false).config(0)
 
-  /** `n` sub-space draws; draw i is pinned to `anchors(i % anchors.size)`.
-    * Each draw takes its free dims from `rng` in `free`'s iteration order. */
-  def sampleInSubspace(anchors: Seq[Config], free: Set[Int], rng: Random, n: Int): Vector[Config] = {
+  /** A BO candidate pool (Algorithm 2, line 6) drawn in one pass, as three
+    * streams in this order:
+    *  - `nSub` uniform draws in the sub-space: each dim of `free` is drawn
+    *    anew, by `nextInt(card)` if categorical and `nextDouble` if numeric;
+    *  - `nLoc` local moves: each free numeric dim moves by
+    *    `sigma`·`nextGaussian` in the unit cube, each free categorical dim
+    *    is redrawn (`nextInt(card)`) when `nextDouble < pCat`;
+    *  - `nGlob` uniform draws over the whole space: `dim` calls to
+    *    `nextDouble`, in dims order.
+    * Draw j of the first two streams pins its other dims to
+    * `anchors(j % anchors.size)`, which must be legal, and takes its free
+    * dims from `rng` in `free`'s iteration order.
+    *
+    * A draw is the decoded (`fromUnit`) configuration of its unit point,
+    * and its unit row, unless `unitRows` is off (single draws), is `toUnit`
+    * of that followed by `extra`. The pinned values and their encodings
+    * are worked out once per anchor, so each draw decodes and encodes only
+    * its free dims. A pinned numeric dim is the decoded anchor encoding,
+    * which can differ from the anchor's raw value in the last bits. */
+  def drawPool(anchors: Seq[Config], free: Set[Int], rng: Random,
+               nSub: Int, nLoc: Int, nGlob: Int,
+               sigma: Double = 0.2, pCat: Double = 0.25,
+               extra: Array[Double] = Array.emptyDoubleArray,
+               unitRows: Boolean = true): CandidatePool = {
+    require(anchors.nonEmpty || nSub + nLoc == 0, "anchored draws need an anchor")
     val freeDims = {
       val b = Array.newBuilder[Int]
       free.foreach(b += _)
       b.result()
     }
-    // Pinned numeric dims decode the anchor's unit encoding; pinned
-    // categorical dims keep the anchor's raw index. Free dims are
-    // overwritten per draw.
-    val pinned = anchors.map { a =>
-      val u = toUnit(a)
-      Array.tabulate(dim)(i => if (isCat(i)) a(i) else decode(i, u(i)))
-    }.toArray
-    Vector.tabulate(n) { k =>
-      val out = pinned(k % pinned.length).clone()
-      var j = 0
-      while (j < freeDims.length) {
-        val i = freeDims(j)
-        out(i) = decode(i, if (isCat(i)) rng.nextInt(card(i)).toDouble else rng.nextDouble())
-        j += 1
-      }
-      Config(out.toVector)
+    // Per anchor: its unit point (where local moves start), the pinned raw
+    // values and their unit row with `extra` already in place. Every
+    // anchored draw overwrites the free numeric dims, so they stay undecoded.
+    val isFree = new Array[Boolean](dim)
+    freeDims.foreach(isFree(_) = true)
+    val anchorUnit = anchors.map(toUnit).toArray
+    val pinnedRaw = anchorUnit.map { u =>
+      val r = new Array[Double](dim)
+      var i = 0
+      while (i < dim) { r(i) = if (isCat(i) || isFree(i)) u(i) else decode(i, u(i)); i += 1 }
+      r
     }
+    val pinnedUnit = if (unitRows) pinnedRaw.map(unitRow(_, extra)) else null
+    val n = nSub + nLoc + nGlob
+    val raw = new Array[Array[Double]](n)
+    val unit = new Array[Array[Double]](if (unitRows) n else 0)
+    var j = 0
+    while (j < nSub + nLoc) {
+      val local = j >= nSub
+      val a = (if (local) j - nSub else j) % anchorUnit.length
+      val r = pinnedRaw(a).clone()
+      var f = 0
+      while (f < freeDims.length) {
+        val i = freeDims(f)
+        if (!local) r(i) = decode(i, if (isCat(i)) rng.nextInt(card(i)).toDouble else rng.nextDouble())
+        else if (!isCat(i)) r(i) = decode(i, (anchorUnit(a)(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0))
+        else if (rng.nextDouble() < pCat) r(i) = decode(i, rng.nextInt(card(i)).toDouble)
+        f += 1
+      }
+      raw(j) = r
+      if (unitRows) {
+        val u = pinnedUnit(a).clone()
+        f = 0
+        while (f < freeDims.length) { val i = freeDims(f); u(i) = encode(i, r(i)); f += 1 }
+        unit(j) = u
+      }
+      j += 1
+    }
+    while (j < n) {
+      val r = new Array[Double](dim)
+      var i = 0
+      while (i < dim) { r(i) = decode(i, rng.nextDouble()); i += 1 }
+      raw(j) = r
+      if (unitRows) unit(j) = unitRow(r, extra)
+      j += 1
+    }
+    new CandidatePool(raw, unit)
+  }
+}
+
+/** Candidates as rows: `raw(j)` holds candidate j's raw values in space
+  * order (what `Config` holds) and `unit(j)` its unit encoding, with any
+  * extra coordinates appended (`unit` is empty when drawn without). */
+final class CandidatePool(val raw: Array[Array[Double]], val unit: Array[Array[Double]]) {
+  def size: Int = raw.length
+
+  /** Candidate j as a configuration. */
+  def config(j: Int): Config = {
+    val r = raw(j)
+    Config(Vector.tabulate(r.length)(r(_)))
   }
 }
 

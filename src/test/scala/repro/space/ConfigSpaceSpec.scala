@@ -170,21 +170,6 @@ class ConfigSpaceSpec extends AnyFunSuite {
     assert(vals.size > 5)
   }
 
-  /** The per-call sub-space sampler as it was before the batch version:
-    * encode and decode the anchor for every draw. */
-  private def sampleInSubspaceRef(anchor: Config, free: Set[Int], r: Random): Config = {
-    val u = cs.toUnit(anchor)
-    val out = u.clone()
-    free.foreach { i =>
-      out(i) = cs.params(i) match {
-        case CatParam(_, choices) => r.nextInt(choices.size).toDouble
-        case _                    => r.nextDouble()
-      }
-    }
-    val cfg = cs.fromUnit(out)
-    Config(Vector.tabulate(cs.dim)(i => if (!free.contains(i) && cs.isCat(i)) anchor(i) else cfg(i)))
-  }
-
   test("batch sampleInSubspace equals per-call draws and leaves the Random in the same state") {
     val r = new Random(21)
     val anchors = SparkParams.defaults(cs) +: cs.sampleRandom(r, 2)
@@ -195,12 +180,13 @@ class ConfigSpaceSpec extends AnyFunSuite {
       assert(free.isInstanceOf[scala.collection.immutable.HashSet[_]] == size > 4)
       val seed = r.nextLong()
       val (a, b) = (new Random(seed), new Random(seed))
-      val batch = cs.sampleInSubspace(anchors.take(nAnchors), free, a, 40)
-      val ref = Vector.tabulate(40)(i => sampleInSubspaceRef(anchors(i % nAnchors), free, b))
+      val pool = cs.drawPool(anchors.take(nAnchors), free, a, nSub = 40, nLoc = 0, nGlob = 0)
+      val batch = Vector.tabulate(pool.size)(pool.config)
+      val ref = Vector.tabulate(40)(i => PoolRef.sampleInSubspace(cs, anchors(i % nAnchors), free, b))
       assert(batch.map(bits) == ref.map(bits), s"free=$free anchors=$nAnchors")
       assert(a.nextLong() == b.nextLong(), s"free=$free anchors=$nAnchors")
       assert(bits(cs.sampleInSubspace(anchors(0), free, new Random(seed))) ==
-        bits(sampleInSubspaceRef(anchors(0), free, new Random(seed))))
+        bits(PoolRef.sampleInSubspace(cs, anchors(0), free, new Random(seed))))
     }
   }
 

@@ -33,8 +33,9 @@ class BenchFigure45 extends SparkSpec {
     // meta-learning (WarmStart/MetaEnsemble) — asserted by construction here.
     assert(repro.core.Objective(0.7, tMax = 10).beta == 0.7)
     assert(new repro.bo.SafeRegion(0.7).isSafe(Nil))
-    assert(new repro.bo.Subspace(repro.env.FleetGen.prodSpace,
-      repro.space.SparkParams.ExpertRanking).size == 10)
+    val s = repro.core.TunerSettings()
+    assert(new repro.bo.Subspace(repro.env.FleetGen.prodSpace, repro.space.SparkParams.ExpertRanking,
+      s.kInit, s.kMin, s.tauSucc, s.tauFail).size == 10)
   }
 
   test("ours beats random search on runtime for most tasks (Figure 4 shape)") {

@@ -18,6 +18,9 @@ import repro.jobs.HiBenchCompareJob
 class BenchSubspaceAgd extends AnyFunSuite {
   private val Seeds = 3
 
+  /** Each session's (best, mean) objective: later tests reuse earlier sessions. */
+  private val sessions = collection.mutable.Map.empty[(String, TunerSettings), (Double, Double)]
+
   /** (best objective, mean objective over the session), seed-averaged.
     * The paper's Fig. 7(b) compares the *average cost during optimization*
     * — the metric where space reduction pays; best-found is Fig. 7(a). */
@@ -25,14 +28,13 @@ class BenchSubspaceAgd extends AnyFunSuite {
     val (sim, default, obj) = HiBenchCompareJob.start(Workloads.byName(task), 0.5)
     val vals = (0 until Seeds).map { s =>
       val settings = mutate(TunerSettings(seed = 17 * s + 3))
-      val h = new OnlineTuner(sim, obj, settings, Vector(default)).tune(30).history
-      (h.bestObjective, h.all.map(_.objective).sum / h.size)
+      sessions.getOrElseUpdate((task, settings), {
+        val h = new OnlineTuner(sim, obj, settings, Vector(default)).tune(30).history
+        (h.bestObjective, h.all.map(_.objective).sum / h.size)
+      })
     }
     (vals.map(_._1).sum / vals.size, vals.map(_._2).sum / vals.size)
   }
-
-  private def bestCost(task: String, mutate: TunerSettings => TunerSettings): Double =
-    costs(task, mutate)._1
 
   test("sub-space ablation on PageRank and TeraSort (prints Figure-7 table)") {
     val rows = Seq("pagerank", "terasort").map { t =>
@@ -62,8 +64,8 @@ class BenchSubspaceAgd extends AnyFunSuite {
 
   test("AGD ablation across the six tasks (prints Figure-9 table)") {
     val rows = Workloads.six.map(_.name).map { t =>
-      val withAgd = bestCost(t, identity)
-      val without = bestCost(t, _.copy(useAgd = false))
+      val withAgd = costs(t, identity)._1
+      val without = costs(t, _.copy(useAgd = false))._1
       (t, withAgd, without)
     }
     info(f"${"task"}%-10s ${"BO+AGD"}%12s ${"BO"}%12s ${"delta%"}%8s")

@@ -85,7 +85,7 @@ object HiBenchCompareJob {
 
   def main(args: Array[String]): Unit = {
     val seeds = args.headOption.map(_.toInt).getOrElse(3)
-    val spark = SparkSession.builder.master("local[*]").appName("hibench-compare")
+    val spark = SparkSession.builder().master("local[*]").appName("hibench-compare")
       .config("spark.ui.enabled", false).getOrCreate()
     try print(render(allCells(spark, seeds)))
     finally spark.stop()

@@ -28,7 +28,7 @@ object Table3Job {
 
   def main(args: Array[String]): Unit = {
     val n = args.headOption.map(_.toInt).getOrElse(200)
-    val spark = SparkSession.builder.master("local[*]").appName("table3")
+    val spark = SparkSession.builder().master("local[*]").appName("table3")
       .config("spark.ui.enabled", false).getOrCreate()
     try {
       val (t, _) = run(spark, n)

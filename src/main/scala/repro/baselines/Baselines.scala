@@ -20,18 +20,21 @@ trait BaselineTuner {
 }
 
 private object BaselineUtil {
-  /** Simple generational GA over unit space searching `fitness` (lower is
-    * better) — the search engine of RFHOC [7] and DAC [79]. `fitness` must
+  final val Generations = 8
+  final val PopSize = 40
+
+  /** Generational GA over unit space, [[PopSize]] configs for [[Generations]]
+    * generations, searching `fitness` (lower is better) — the search engine
+    * of RFHOC [7] and DAC [79]. `fitness` must
     * be pure: each config is scored once, and elites carry their score into
     * the next generation and the final pick. */
-  def gaSearch(cs: ConfigSpace, seedPop: Vector[Config], fitness: Config => Double,
-               rng: Random, generations: Int = 8, popSize: Int = 40): Config = {
+  def gaSearch(cs: ConfigSpace, seedPop: Vector[Config], fitness: Config => Double, rng: Random): Config = {
     def score(configs: Vector[Config]) = configs.map(c => (c, fitness(c)))
-    var pop = score((seedPop ++ cs.sampleRandom(rng, popSize)).take(popSize))
+    var pop = score((seedPop ++ cs.sampleRandom(rng, PopSize)).take(PopSize))
     var g = 0
-    while (g < generations) {
-      val elite = pop.sortBy(_._2).take(popSize / 4)
-      val children = Vector.fill(popSize - elite.size) {
+    while (g < Generations) {
+      val elite = pop.sortBy(_._2).take(PopSize / 4)
+      val children = Vector.fill(PopSize - elite.size) {
         val a = cs.toUnit(elite(rng.nextInt(elite.size))._1)
         val b = cs.toUnit(elite(rng.nextInt(elite.size))._1)
         val x = Array.tabulate(cs.dim)(i => if (rng.nextBoolean()) a(i) else b(i))

@@ -47,7 +47,7 @@ object Acquisition {
   *
   * @param gamma bound multiplier γ ∈ (0,1]
   */
-final class SafeRegion(gamma: Double = 0.7) {
+final class SafeRegion(gamma: Double) {
   require(gamma > 0 && gamma <= 1.0, s"gamma out of (0,1]: $gamma")
 
   /** Upper confidence bound on a constrained metric. */

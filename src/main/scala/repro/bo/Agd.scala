@@ -14,15 +14,15 @@ import repro.surrogate.{Block, Surrogate}
   * (Eq. 10) — no extra job executions; ∂R/∂xⁱ from central differences of
   * the white-box resource function (exact for the linear R).
   *
-  * Differences and updates are taken in the unit cube so one learning rate
-  * serves parameters of wildly different raw scales; steps are clipped to
-  * `maxStep` per dimension to keep single AGD moves sane. Categorical
-  * dimensions are left untouched (the paper differentiates numerical
-  * parameters only).
+  * Differences (half-width `Eps`) and updates are taken in the unit cube
+  * so one learning rate serves parameters of wildly different raw scales;
+  * steps are clipped to `MaxStep` per dimension to keep single AGD moves
+  * sane. Categorical dimensions are left untouched (the paper
+  * differentiates numerical parameters only).
   */
-final class Agd(cs: ConfigSpace, beta: Double,
-                resourceOf: Config => Double,
-                eta: Double = 0.001, eps: Double = 0.05, maxStep: Double = 0.05) {
+final class Agd(cs: ConfigSpace, beta: Double, resourceOf: Config => Double, eta: Double) {
+  private val Eps = 0.05
+  private val MaxStep = 0.05
 
   /** One AGD step from `best`.
     *
@@ -37,8 +37,8 @@ final class Agd(cs: ConfigSpace, beta: Double,
     def moved(i: Int, to: Double): Array[Double] = { val v = u.clone(); v(i) = to; v }
 
     val num = (0 until cs.dim).filterNot(cs.isCat).toArray
-    val ups = num.map(i => moved(i, (u(i) + eps).min(1.0)))
-    val dns = num.map(i => moved(i, (u(i) - eps).max(0.0)))
+    val ups = num.map(i => moved(i, (u(i) + Eps).min(1.0)))
+    val dns = num.map(i => moved(i, (u(i) - Eps).max(0.0)))
     // The runtime surrogate at u and at both ends of every difference, as
     // one block: t(0) at u, t(1 + k) at ups(k), t(1 + K + k) at dns(k).
     val t = runtimeSurrogate.predictBlock(Block.of((u +: (ups ++ dns)).map(pad)))
@@ -56,7 +56,7 @@ final class Agd(cs: ConfigSpace, beta: Double,
       val grad = beta * math.pow(ratio, beta - 1.0) * dT +
         (1.0 - beta) * math.pow(ratio, beta) * dR     // Eq. 9
       val stepRaw = eta * grad                        // Eq. 11
-      val step = math.signum(stepRaw) * math.min(math.abs(stepRaw), maxStep)
+      val step = math.signum(stepRaw) * math.min(math.abs(stepRaw), MaxStep)
       out(i) = (u(i) - step).max(0.0).min(1.0)
     }
     cs.fromUnit(out)

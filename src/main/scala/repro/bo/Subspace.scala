@@ -7,17 +7,16 @@ import repro.space.{Config, ConfigSpace}
   *
   * Maintains a parameter ranking (expert prior until enough history exists,
   * then fANOVA importances averaged over what has been observed) and a
-  * TuRBO-style size controller: τ_succ=3 consecutive improvements grow the
-  * sub-space by 2 (up to K_max), τ_fail=5 consecutive non-improvements
-  * shrink it by 2 (down to K_min=4); counters reset on every resize.
+  * TuRBO-style size controller: τ_succ consecutive improvements grow the
+  * sub-space by 2 (up to K_max), τ_fail consecutive non-improvements
+  * shrink it by 2 (down to K_min); counters reset on every resize.
   * `freeze` instead fixes the sub-space for good (Tuneful/LOCAT's prune
   * once after exploring, §6.3).
   */
-final class Subspace(cs: ConfigSpace,
-                     expertRanking: Vector[String],
-                     kInit: Int = 10, kMin: Int = 4,
-                     tauSucc: Int = 3, tauFail: Int = 5,
-                     refitEvery: Int = 5, minHistoryForFanova: Int = 8) {
+final class Subspace(cs: ConfigSpace, expertRanking: Vector[String],
+                     kInit: Int, kMin: Int, tauSucc: Int, tauFail: Int) {
+  private val RefitEvery = 5
+  private val MinHistoryForFanova = 8
 
   private val kMax: Int = cs.dim
   private val kStart: Int = kInit.min(kMax).max(kMin)
@@ -56,14 +55,14 @@ final class Subspace(cs: ConfigSpace,
     else if (fail >= tauFail) { k = (k - 2).max(kMin); succ = 0; fail = 0 }
   }
 
-  /** Periodically refresh the ranking from tuning history via fANOVA
-    * ("once new tuning history arrives, we continuously update the
-    * importance score"). */
+  /** Every `RefitEvery` calls, refresh the ranking from a history of at least
+    * `MinHistoryForFanova` runs via fANOVA ("once new tuning history arrives,
+    * we continuously update the importance score"). */
   def maybeRefit(configs: Seq[Config], ys: Seq[Double], seed: Long = 0L): Unit = if (!frozen) {
     sinceRefit += 1
-    if (configs.size >= minHistoryForFanova && sinceRefit >= refitEvery) {
+    if (configs.size >= MinHistoryForFanova && sinceRefit >= RefitEvery) {
       sinceRefit = 0
-      val res = fanova(configs, ys, seed)
+      val res = FAnova.marginalVariances(cs, configs, ys, seed)
       // Scale the fANOVA scores to the running-score scale (top = 1) and blend.
       val mx = res.single.max
       if (mx > 1e-12) {
@@ -81,13 +80,8 @@ final class Subspace(cs: ConfigSpace,
     * the history (the expert prior and earlier refits are dropped); later
     * `observe` and `maybeRefit` calls leave it as it is. */
   def freeze(configs: Seq[Config], ys: Seq[Double], seed: Long): Unit = {
-    ranking = fanova(configs, ys, seed).ranking
+    ranking = FAnova.marginalVariances(cs, configs, ys, seed).ranking
     k = kStart
     frozen = true
   }
-
-  /** fANOVA's marginal variances: the importance ranking and the scores
-    * relative to the top one, without the cost of the total variance. */
-  private def fanova(configs: Seq[Config], ys: Seq[Double], seed: Long): FAnova.Result =
-    FAnova.marginalVariances(cs, configs, ys, seed)
 }

@@ -91,7 +91,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     else {
       val r = gp.looResiduals
       val loo = ys.indices.map(i => ys(i) - r(i))
-      ((TaskSimilarity.kendallTau(loo, ys) + 1.0) / 2.0).max(0.1)
+      ((TaskSimilarity.kendallTau(loo, ys.toIndexedSeq) + 1.0) / 2.0).max(0.1)
     }
 
   /** Whether the session's run number `r` (1-based) is an AGD step. */
@@ -129,7 +129,8 @@ final class OnlineTuner(sim: SparkClusterSim,
     // GP then costs only its own triangular solves, read or not.
     val Vector(gpObjLocal, gpRt) = Gp.fitAll(xs, Seq(yObj, yRt), kernelOf, noise = 1e-3)
 
-    val best = history.best.get
+    val ranked = RunHistory.ranked(obs)
+    val best = ranked.head
     val yBestLog = math.log(best.objective.max(1e-9))
     // This run's data-size coordinate, shared by the AGD step and every
     // candidate.
@@ -154,7 +155,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     // Non-subspace dims are pinned to an anchor; using the top-3 configs
     // (not just the incumbent) as anchors avoids locking a pathological
     // pinned value in place for the rest of the session.
-    val anchors: Vector[Config] = RunHistory.ranked(obs).map(_.config).distinct.take(3)
+    val anchors: Vector[Config] = ranked.map(_.config).distinct.take(3)
     val free: Set[Int] =
       if (settings.useSubspace && obs.size >= settings.freezeSubspaceAt) subspace.freeDims
       else (0 until cs.dim).toSet
@@ -165,7 +166,7 @@ final class OnlineTuner(sim: SparkClusterSim,
       val nLoc = if (settings.useLocalMoves) (settings.nCandidates * 0.5).toInt else 0
       val nSub = (settings.nCandidates * 0.4).toInt + (settings.nCandidates * 0.5).toInt - nLoc
       val nGlob = settings.nCandidates - nSub - nLoc
-      cs.drawPool(anchors, free, rng, nSub, nLoc, nGlob, sigma = 0.15, extra = dsExtra)
+      cs.drawPool(anchors, free, rng, nSub, nLoc, nGlob, extra = dsExtra)
     }
 
     // The whole pool is scored as one block. Without a reader of the

@@ -29,13 +29,13 @@ final case class RunResult(
   *    serializer, reducer fetch size and connection count scale shuffle
   *    cost; tiny tasks pay per-task scheduling overhead;
   *  - **startup**: driver + executor acquisition overhead grows with E;
-  *  - **noise**: multiplicative log-normal observation noise (BO is
-  *    claimed noise-robust; §3.3) plus periodic data-size drift.
+  *  - **noise**: multiplicative log-normal observation noise of σ =
+  *    `NoiseSigma` (BO is claimed noise-robust; §3.3) plus periodic
+  *    data-size drift.
   *
   * All draws are seeded by (spec.seed, iter) so runs are reproducible.
   */
-final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
-                            noiseSigma: Double = 0.04) extends Serializable {
+final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends Serializable {
 
   /** Memory price coefficient in R(x) = E·(C + cMem·M) (§4.3). */
   val cMem: Double = 0.25
@@ -212,7 +212,7 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
   /** Execute at an explicit data size (used by tests and warm-start evals). */
   def runAt(c: Config, ds: Double, iter: Int): RunResult = {
     val rng = new Random(spec.seed * 1000003 + iter * 131 + c.values.hashCode())
-    val noise = math.exp(noiseSigma * rng.nextGaussian())
+    val noise = math.exp(SparkClusterSim.NoiseSigma * rng.nextGaussian())
     val t = expectedRuntime(c, ds) * noise
     val e = cs.value(c, SP.Instances)
     val cc = cs.value(c, SP.ExecCores)
@@ -228,16 +228,19 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
 }
 
 object SparkClusterSim {
+  final val NoiseSigma = 0.04
+  final val CalibrationSteps = 6
+
   /** Scale `spec.cpuSecPerGB` so that the noise-free runtime of
     * `manual` at the nominal data size matches `targetRuntimeSec`.
     * Used to calibrate the eight Table-2 production tasks to the paper's
-    * manual rows. Fixed-point iteration; converges in a few steps because
+    * manual rows by [[CalibrationSteps]] fixed-point steps, enough because
     * runtime is monotone in the compute scale. */
   def calibrate(spec: WorkloadSpec, cs: ConfigSpace, manual: Config,
-                targetRuntimeSec: Double, steps: Int = 6): WorkloadSpec = {
+                targetRuntimeSec: Double): WorkloadSpec = {
     var s = spec
     var i = 0
-    while (i < steps) {
+    while (i < CalibrationSteps) {
       val sim = new SparkClusterSim(s, cs)
       val t = sim.expectedRuntime(manual, s.inputGB)
       val ratio = (targetRuntimeSec / t).max(0.05).min(20.0)

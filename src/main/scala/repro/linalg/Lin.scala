@@ -10,18 +10,21 @@ package repro.linalg
   */
 object Lin {
 
+  final val Jitter = 1e-10
+  final val MaxTries = 8
+
   /** Cholesky factor L (lower-triangular) of SPD matrix `a`, with jitter
-    * escalation: if the factorization fails, `jitter` is multiplied by 10
-    * and retried up to `maxTries` times. Returns (L, usedJitter).
+    * escalation: from [[Jitter]], a failed factorization is retried with
+    * 10× the jitter, [[MaxTries]] tries in all. Returns (L, usedJitter).
     *
     * Only the lower triangle of `a` is read (`a(i)(k)` for k ≤ i), so row
     * i of `a` may hold just its first i + 1 entries.
     */
-  def cholesky(a: Array[Array[Double]], jitter: Double = 1e-10, maxTries: Int = 8): (Array[Array[Double]], Double) = {
+  def cholesky(a: Array[Array[Double]]): (Array[Array[Double]], Double) = {
     val n = a.length
-    var j = jitter
+    var j = Jitter
     var tries = 0
-    while (tries < maxTries) {
+    while (tries < MaxTries) {
       val l = Array.ofDim[Double](n, n)
       var ok = true
       var i = 0
@@ -44,7 +47,7 @@ object Lin {
       if (ok) return (l, j)
       j *= 10; tries += 1
     }
-    throw new ArithmeticException(s"cholesky failed after $maxTries jitter escalations")
+    throw new ArithmeticException(s"cholesky failed after $MaxTries jitter escalations")
   }
 
   /** Solve L y = b for lower-triangular L. */

@@ -41,7 +41,7 @@ object TaskSimilarity {
   /** Distance of two surrogates via ranking disagreement on `nSample`
     * random configs (§5.1). */
   def surrogateDistance(cs: ConfigSpace, mi: Surrogate, mj: Surrogate,
-                        nSample: Int = 200, seed: Long = 0L): Double = {
+                        nSample: Int, seed: Long = 0L): Double = {
     val rng = new Random(seed)
     val xs = Block.of(Array.fill(nSample)(Array.fill(cs.dim)(rng.nextDouble())))
     val pi = mi.predictBlock(xs).map(_.mean).toSeq
@@ -76,7 +76,7 @@ object TaskSimilarity {
     * gives two rows with the same (symmetric) `pairFeatures` and two labels
     * drawn from different sample seeds. */
   def train(cs: ConfigSpace, tasks: Seq[(Array[Double], Surrogate)],
-            nSample: Int = 150, seed: Long = 0L): DistanceModel = {
+            nSample: Int, seed: Long = 0L): DistanceModel = {
     require(tasks.size >= 2, "need >=2 source tasks")
     val rows = for {
       i <- tasks.indices; j <- tasks.indices if i != j

@@ -156,7 +156,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
 
   /** Uniform random configuration. */
   def sampleRandom(rng: Random): Config =
-    drawPool(Nil, Set.empty, rng, nSub = 0, nLoc = 0, nGlob = 1, unitRows = false).config(0)
+    drawPool(Nil, Set.empty, rng, nSub = 0, nLoc = 0, nGlob = 1).config(0)
 
   /** `n` uniform random configurations. */
   def sampleRandom(rng: Random, n: Int): Vector[Config] =
@@ -169,15 +169,14 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   /** Perturb only the dims in `free`, pinning the rest to `anchor` —
     * TuRBO-style local exploration inside the sub-space. `anchor` must be
     * legal (`clip(anchor) == anchor`). */
-  def perturbInSubspace(anchor: Config, free: Set[Int], rng: Random,
-                        sigma: Double = 0.2, pCat: Double = 0.25): Config =
-    drawPool(Seq(anchor), free, rng, nSub = 0, nLoc = 1, nGlob = 0, sigma, pCat, unitRows = false).config(0)
+  def perturbInSubspace(anchor: Config, free: Set[Int], rng: Random, sigma: Double = 0.15): Config =
+    drawPool(Seq(anchor), free, rng, nSub = 0, nLoc = 1, nGlob = 0, sigma).config(0)
 
   /** Restrict sampling to a sub-space: dims in `free` vary, the rest are
     * pinned to `anchor`'s values (Eq. 5 sub-space with an anchor point).
     * `anchor` must be legal. */
   def sampleInSubspace(anchor: Config, free: Set[Int], rng: Random): Config =
-    drawPool(Seq(anchor), free, rng, nSub = 1, nLoc = 0, nGlob = 0, unitRows = false).config(0)
+    drawPool(Seq(anchor), free, rng, nSub = 1, nLoc = 0, nGlob = 0).config(0)
 
   /** A BO candidate pool (Algorithm 2, line 6) drawn in one pass, as three
     * streams in this order:
@@ -185,7 +184,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
     *    anew, by `nextInt(card)` if categorical and `nextDouble` if numeric;
     *  - `nLoc` local moves: each free numeric dim moves by
     *    `sigma`·`nextGaussian` in the unit cube, each free categorical dim
-    *    is redrawn (`nextInt(card)`) when `nextDouble < pCat`;
+    *    is redrawn (`nextInt(card)`) when `nextDouble <` [[ConfigSpace.PCat]];
     *  - `nGlob` uniform draws over the whole space: `dim` calls to
     *    `nextDouble`, in dims order.
     * Draw j of the first two streams pins its other dims to
@@ -193,16 +192,14 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
     * dims from `rng` in `free`'s iteration order.
     *
     * A draw is the decoded (`fromUnit`) configuration of its unit point,
-    * and its unit row, unless `unitRows` is off (single draws), is `toUnit`
-    * of that followed by `extra`. The pinned values and their encodings
-    * are worked out once per anchor, so each draw decodes and encodes only
-    * its free dims. A pinned numeric dim is the decoded anchor encoding,
-    * which can differ from the anchor's raw value in the last bits. */
+    * and its unit row is `toUnit` of that followed by `extra`. The pinned
+    * values and their encodings are worked out once per anchor, so each
+    * draw decodes and encodes only its free dims. A pinned numeric dim is
+    * the decoded anchor encoding, which can differ from the anchor's raw
+    * value in the last bits. */
   def drawPool(anchors: Seq[Config], free: Set[Int], rng: Random,
-               nSub: Int, nLoc: Int, nGlob: Int,
-               sigma: Double = 0.2, pCat: Double = 0.25,
-               extra: Array[Double] = Array.emptyDoubleArray,
-               unitRows: Boolean = true): CandidatePool = {
+               nSub: Int, nLoc: Int, nGlob: Int, sigma: Double = 0.15,
+               extra: Array[Double] = Array.emptyDoubleArray): CandidatePool = {
     require(anchors.nonEmpty || nSub + nLoc == 0, "anchored draws need an anchor")
     val freeDims = {
       val b = Array.newBuilder[Int]
@@ -221,10 +218,10 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
       while (i < dim) { r(i) = if (isCat(i) || isFree(i)) u(i) else decode(i, u(i)); i += 1 }
       r
     }
-    val pinnedUnit = if (unitRows) pinnedRaw.map(unitRow(_, extra)) else null
+    val pinnedUnit = pinnedRaw.map(unitRow(_, extra))
     val n = nSub + nLoc + nGlob
     val raw = new Array[Array[Double]](n)
-    val unit = new Array[Array[Double]](if (unitRows) n else 0)
+    val unit = new Array[Array[Double]](n)
     var j = 0
     while (j < nSub + nLoc) {
       val local = j >= nSub
@@ -235,16 +232,14 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
         val i = freeDims(f)
         if (!local) r(i) = decode(i, if (isCat(i)) rng.nextInt(card(i)).toDouble else rng.nextDouble())
         else if (!isCat(i)) r(i) = decode(i, (anchorUnit(a)(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0))
-        else if (rng.nextDouble() < pCat) r(i) = decode(i, rng.nextInt(card(i)).toDouble)
+        else if (rng.nextDouble() < PCat) r(i) = decode(i, rng.nextInt(card(i)).toDouble)
         f += 1
       }
       raw(j) = r
-      if (unitRows) {
-        val u = pinnedUnit(a).clone()
-        f = 0
-        while (f < freeDims.length) { val i = freeDims(f); u(i) = encode(i, r(i)); f += 1 }
-        unit(j) = u
-      }
+      val u = pinnedUnit(a).clone()
+      f = 0
+      while (f < freeDims.length) { val i = freeDims(f); u(i) = encode(i, r(i)); f += 1 }
+      unit(j) = u
       j += 1
     }
     while (j < n) {
@@ -252,7 +247,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
       var i = 0
       while (i < dim) { r(i) = decode(i, rng.nextDouble()); i += 1 }
       raw(j) = r
-      if (unitRows) unit(j) = unitRow(r, extra)
+      unit(j) = unitRow(r, extra)
       j += 1
     }
     new CandidatePool(raw, unit)
@@ -261,7 +256,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
 
 /** Candidates as rows: `raw(j)` holds candidate j's raw values in space
   * order (what `Config` holds) and `unit(j)` its unit encoding, with any
-  * extra coordinates appended (`unit` is empty when drawn without). */
+  * extra coordinates appended. */
 final class CandidatePool(val raw: Array[Array[Double]], val unit: Array[Array[Double]]) {
   def size: Int = raw.length
 
@@ -273,6 +268,8 @@ final class CandidatePool(val raw: Array[Array[Double]], val unit: Array[Array[D
 }
 
 private object ConfigSpace {
+  /** Probability that a local move redraws a free categorical dim. */
+  final val PCat = 0.25
   final val IntKind = 0
   final val DoubleKind = 1
   final val CatKind = 2

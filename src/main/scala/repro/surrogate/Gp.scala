@@ -133,13 +133,15 @@ final class Gp private (private[surrogate] val f: Factor,
 }
 
 object Gp {
+  /** The lengthscale multipliers every fit tries, in order (a tie keeps the first). */
+  val LsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)
+
   /** Fit a GP on raw (unit-encoded) inputs and targets: [[fitAll]] with one
     * target. */
   def fit(xs: Array[Array[Double]], ys: Array[Double],
           kernelOf: Double => MixedKernel,
-          noise: Double = 1e-4,
-          lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Gp =
-    fitAll(xs, Seq(ys), kernelOf, noise, lsGrid).head
+          noise: Double = 1e-4): Gp =
+    fitAll(xs, Seq(ys), kernelOf, noise).head
 
   /** Fit one GP per target in `yss`, all on the inputs `xs`. Each grid
     * kernel's gram matrix is built and factored once; each target then
@@ -147,12 +149,11 @@ object Gp {
     * equals a separate [[fit]] on its target.
     *
     * @param kernelOf builds a kernel given a lengthscale multiplier from
-    *                 `lsGrid`
+    *                 [[LsGrid]]
     */
   def fitAll(xs: Array[Array[Double]], yss: Seq[Array[Double]],
              kernelOf: Double => MixedKernel,
-             noise: Double = 1e-4,
-             lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Vector[Gp] = {
+             noise: Double = 1e-4): Vector[Gp] = {
     require(xs.nonEmpty && yss.forall(_.length == xs.length), "empty or mismatched training data")
     val n = xs.length
     val targets = yss.toVector.map { ys =>
@@ -166,7 +167,7 @@ object Gp {
 
     val best = new Array[Gp](targets.size)
     val bestMll = Array.fill(targets.size)(Double.NegativeInfinity)
-    for (ls <- lsGrid) {
+    for (ls <- LsGrid) {
       val f = Factor(kernelOf(ls), xs, noise)
       for (t <- targets.indices) {
         val (yStdz, yMean, yStd) = targets(t)

@@ -103,23 +103,15 @@ final class KernelRows private[surrogate] (k: MixedKernel, xs: Array[Array[Doubl
       j += 1
     }
     val byMismatch = k.byMismatch
-    // Neighbouring entries often share s (every candidate of a suggestion
-    // has the same data size), so each profile is evaluated once per run
-    // of equal values.
     var i = 0
     while (i < n) {
       val o = out(i)
       KernelRows.sqDist(num, k.numDims, k.invNumLs, i, c, o)
-      var s = Double.NaN
-      var v = 0.0
       var q = 0
       while (q < m) { // Matérn-5/2: (1 + √5·r + 5r²/3)·exp(−√5·r), r² = s
-        if (o(q) != s) {
-          s = o(q)
-          val a = math.sqrt(5.0) * math.sqrt(s)
-          v = (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
-        }
-        o(q) = v
+        val s = o(q)
+        val a = math.sqrt(5.0) * math.sqrt(s)
+        o(q) = (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
         q += 1
       }
       Arrays.fill(scratch, 0.0) // mismatch counts, exact in a double
@@ -137,7 +129,9 @@ final class KernelRows private[surrogate] (k: MixedKernel, xs: Array[Array[Doubl
       while (q < m) { o(q) *= byMismatch(scratch(q).toInt); q += 1 }
       if (ds.length > 0) { // over no dims SE is ×1, so it is skipped
         KernelRows.sqDist(ds, k.dsDims, k.invDsLs, i, c, scratch)
-        s = Double.NaN
+        // A pool has one data size, so exp runs once per run of equal s.
+        var s = Double.NaN
+        var v = 0.0
         q = 0
         while (q < m) { // SE: exp(−s/2)
           if (scratch(q) != s) { s = scratch(q); v = math.exp(-0.5 * s) }

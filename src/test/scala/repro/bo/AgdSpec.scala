@@ -1,6 +1,7 @@
 package repro.bo
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TunerSettings
 import repro.space.{Config, SparkParams}
 import repro.surrogate.{Pred, Surrogate}
 
@@ -20,13 +21,16 @@ class AgdSpec extends AnyFunSuite {
     def predict(x: Array[Double]): Pred = Pred(1100.0 - 1000.0 * x(iInst), 1.0)
   }
 
+  /** The tuner's learning rate η (§4: 0.001). */
+  private val eta = TunerSettings().agdEta
+
   private def mid: Config = {
     val u = Array.fill(cs.dim)(0.5)
     cs.fromUnit(u)
   }
 
   test("AGD with β=1 moves against the runtime gradient") {
-    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 10.0, eta = 0.001)
+    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 10.0, eta = eta)
     val c1 = agd.step(mid, upInInstances, Array.empty)
     assert(cs.toUnit(c1)(iInst) < cs.toUnit(mid)(iInst))
     val c2 = agd.step(mid, downInInstances, Array.empty)
@@ -45,7 +49,7 @@ class AgdSpec extends AnyFunSuite {
   }
 
   test("AGD leaves categorical dimensions untouched") {
-    val agd = new Agd(cs, beta = 0.5, resourceOf = _ => 10.0)
+    val agd = new Agd(cs, beta = 0.5, resourceOf = _ => 10.0, eta = eta)
     val c0 = mid
     val c1 = agd.step(c0, upInInstances, Array.empty)
     (0 until cs.dim).filter(cs.isCat).foreach(i => assert(c1(i) == c0(i)))
@@ -55,11 +59,12 @@ class AgdSpec extends AnyFunSuite {
     val steep: Surrogate = new Surrogate {
       def predict(x: Array[Double]): Pred = Pred(1e9 * x(iInst), 1.0)
     }
-    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 1.0, eta = 1.0, maxStep = 0.1)
+    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 1.0, eta = 1.0)
     val c1 = agd.step(mid, steep, Array.empty)
+    // Agd clips every step to 0.05 in the unit cube.
     val moved = math.abs(cs.toUnit(c1)(iInst) - cs.toUnit(mid)(iInst))
     // Integer snapping on the raw scale can round the unit coordinate a bit.
-    assert(moved <= 0.1 + 0.02)
+    assert(moved >= 0.05 - 0.02 && moved <= 0.05 + 0.02)
   }
 
   test("AGD result stays inside the configuration space") {
@@ -73,7 +78,7 @@ class AgdSpec extends AnyFunSuite {
     val probe: Surrogate = new Surrogate {
       def predict(x: Array[Double]): Pred = { sawDim = x.length; Pred(1.0, 1.0) }
     }
-    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 1.0)
+    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 1.0, eta = eta)
     agd.step(mid, probe, Array(0.42))
     assert(sawDim == cs.dim + 1)
   }

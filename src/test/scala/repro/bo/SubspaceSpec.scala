@@ -2,13 +2,17 @@ package repro.bo
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TunerSettings
 import repro.importance.FAnova
 import repro.space.SparkParams
 
 class SubspaceSpec extends AnyFunSuite {
   private val cs = SparkParams.space()
 
-  private def fresh = new Subspace(cs, SparkParams.ExpertRanking)
+  /** The tuner's sub-space (§4: K_init=10, K_min=4, τ_succ=3, τ_fail=5). */
+  private def fresh: Subspace = fresh(TunerSettings())
+  private def fresh(s: TunerSettings) =
+    new Subspace(cs, SparkParams.ExpertRanking, s.kInit, s.kMin, s.tauSucc, s.tauFail)
 
   test("initial size is K_init = 10") { assert(fresh.size == 10) }
 
@@ -59,25 +63,37 @@ class SubspaceSpec extends AnyFunSuite {
   }
 
   test("maybeRefit replaces the ranking from history via fANOVA") {
-    val s = new Subspace(cs, SparkParams.ExpertRanking, refitEvery = 1, minHistoryForFanova = 10)
+    val s = fresh
     val rng = new Random(3)
     val iMem = cs.indexOf(SparkParams.ExecMemory)
     // Synthetic history where only executor.memory matters.
     val configs = Vector.fill(40)(cs.sampleRandom(rng))
     val ys = configs.map(c => cs.toUnit(c)(iMem) * 10.0)
+    val prior = s.currentRanking
+    (1 to 4).foreach { _ =>
+      s.maybeRefit(configs, ys, seed = 1)
+      assert(s.currentRanking == prior)
+    }
     s.maybeRefit(configs, ys, seed = 1)
     assert(s.currentRanking.head == iMem)
   }
 
   test("maybeRefit is a no-op below the history threshold") {
-    val s = new Subspace(cs, SparkParams.ExpertRanking, refitEvery = 1)
+    val s = fresh
+    val rng = new Random(6)
+    val iMem = cs.indexOf(SparkParams.ExecMemory)
+    val configs = Vector.fill(8)(cs.sampleRandom(rng))
+    val ys = configs.map(c => cs.toUnit(c)(iMem) * 10.0)
     val before = s.currentRanking
-    s.maybeRefit(Vector.empty, Vector.empty, 0)
+    (1 to 6).foreach(_ => s.maybeRefit(configs.take(7), ys.take(7), 0))
     assert(s.currentRanking == before)
+    // Past the fifth call, the first call on 8 runs refits.
+    s.maybeRefit(configs, ys, 0)
+    assert(s.currentRanking != before)
   }
 
   test("freeze fixes the fANOVA top-K_init: no expert prior, no resize, no refit") {
-    val s = new Subspace(cs, SparkParams.ExpertRanking, kInit = 8, refitEvery = 1)
+    val s = fresh(TunerSettings(kInit = 8))
     val rng = new Random(4)
     val iMem = cs.indexOf(SparkParams.ExecMemory)
     val configs = Vector.fill(12)(cs.sampleRandom(rng))
@@ -90,7 +106,7 @@ class SubspaceSpec extends AnyFunSuite {
     assert(s.freeDims == ranking.take(8).toSet)
     (1 to 10).foreach(_ => s.observe(improved = true))
     (1 to 10).foreach(_ => s.observe(improved = false))
-    s.maybeRefit(configs.reverse, ys.reverse.map(-_), seed = 8)
+    (1 to 5).foreach(_ => s.maybeRefit(configs.reverse, ys.reverse.map(-_), seed = 8))
     assert(s.size == 8)
     assert(s.currentRanking == ranking)
   }
@@ -104,7 +120,7 @@ class SubspaceSpec extends AnyFunSuite {
         val u = cs.toUnit(c)
         3.0 * u(idx(0)) + u(idx(1)) * u(idx(2)) + 0.1 * rng.nextDouble()
       }
-      val s = new Subspace(cs, SparkParams.ExpertRanking)
+      val s = fresh
       s.freeze(configs, ys, seed.toLong)
       assert(s.currentRanking == FAnova.importance(cs, configs, ys, seed.toLong).ranking, s"seed $seed")
     }

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.env.FleetGen
+import repro.meta.{MetaFeatures, WarmStart}
 
 class TuningServiceSpec extends SparkSpec {
 
@@ -36,6 +37,18 @@ class TuningServiceSpec extends SparkSpec {
     rows.foreach(r => assert(r.preRuntime > 0 && r.postRuntime > 0))
     // Each row depends on its task alone, not on the job's partitioning.
     assert(rows.sortBy(_.name).toSeq == tasks.sortBy(_.name).map(TuningService.tuneOne(_, 8)))
+  }
+
+  test("tuneFleet with meta warm starts equals serial tuneOne from the knowledge base (Table 3)") {
+    val tasks = FleetGen.fleet(4, seed = 13)
+    val rows = TuningService.tuneFleet(spark, tasks, budget = 8, withMeta = true).collect()
+    val (model, sources) = TuningService.buildKnowledgeBase()
+    val warm = tasks.map(t => WarmStart.initialConfigs(model, MetaFeatures.fromSpec(t.spec), sources))
+    assert(warm.forall(_.size == WarmStart.Top))
+    val serial = tasks.zip(warm).map { case (t, w) => TuningService.tuneOne(t, 8, TunerSettings(), w) }
+    assert(rows.sortBy(_.name).toSeq == serial.sortBy(_.name))
+    // The warm starts reach the sessions: without them some row differs.
+    assert(serial != tasks.map(TuningService.tuneOne(_, 8)))
   }
 
   test("buildKnowledgeBase yields sources with surrogates and a distance model") {

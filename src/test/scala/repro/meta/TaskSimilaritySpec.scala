@@ -65,6 +65,6 @@ class TaskSimilaritySpec extends AnyFunSuite {
 
   test("train requires at least two source tasks") {
     val s: Surrogate = x => Pred(0.0, 1.0)
-    assertThrows[IllegalArgumentException](train(cs, Seq((Array(1.0), s))))
+    assertThrows[IllegalArgumentException](train(cs, Seq((Array(1.0), s)), nSample = 50))
   }
 }

@@ -32,15 +32,16 @@ class WarmStartSpec extends AnyFunSuite {
   }
 
   test("similarSources ranks by learned distance and returns top-k") {
-    val sources = Seq(srcTask("near", 4, 0.0), srcTask("mid", 8, 0.5), srcTask("far", 16, 1.0))
-    val top2 = WarmStart.similarSources(model, Array.fill(MetaFeatures.Dim)(0.0), sources, top = 2)
-    assert(top2.size == 2)
-    assert(top2.map(_._2).sliding(2).forall(p => p.head <= p.last))
+    val sources = Seq(srcTask("near", 4, 0.0), srcTask("mid", 8, 0.5), srcTask("far", 16, 1.0),
+      srcTask("farther", 20, 1.0))
+    val top3 = WarmStart.similarSources(model, Array.fill(MetaFeatures.Dim)(0.0), sources)
+    assert(top3.size == 3)
+    assert(top3.map(_._2).sliding(2).forall(p => p.head <= p.last))
   }
 
   test("initialConfigs returns the best config of each similar source") {
     val sources = Seq(srcTask("a", 4, 0.0), srcTask("b", 8, 0.1))
-    val inits = WarmStart.initialConfigs(model, Array.fill(MetaFeatures.Dim)(0.0), sources, top = 2)
+    val inits = WarmStart.initialConfigs(model, Array.fill(MetaFeatures.Dim)(0.0), sources)
     assert(inits.size == 2)
     val insts = inits.map(c => cs.value(c, SP.Instances)).toSet
     assert(insts == Set(4.0, 8.0)) // each source's best (objective 1.0) config
@@ -50,13 +51,13 @@ class WarmStartSpec extends AnyFunSuite {
     val empty = SourceTask("e", Array.fill(MetaFeatures.Dim)(0.0), Vector.empty,
       (x: Array[Double]) => Pred(0.0, 1.0))
     val inits = WarmStart.initialConfigs(model, Array.fill(MetaFeatures.Dim)(0.0),
-      Seq(empty, srcTask("a", 6, 0.0)), top = 2)
+      Seq(empty, srcTask("a", 6, 0.0)))
     assert(inits.size == 1)
   }
 
   test("ensembleBases weights are 1 - distance") {
     val sources = Seq(srcTask("a", 4, 0.0), srcTask("b", 8, 1.0))
-    val bases = WarmStart.ensembleBases(model, Array.fill(MetaFeatures.Dim)(0.0), sources, top = 2)
+    val bases = WarmStart.ensembleBases(model, Array.fill(MetaFeatures.Dim)(0.0), sources)
     assert(bases.size == 2)
     bases.foreach { case (_, w) => assert(w >= 0.0 && w <= 1.0) }
   }

@@ -38,7 +38,7 @@ object ConfigSpaceProps extends Properties("ConfigSpace") {
     Prop.forAll(Gen.choose(0L, 1000L)) { seed =>
       val rng = new scala.util.Random(seed)
       val c = cs.sampleRandom(rng)
-      val p = cs.perturbInSubspace(c, (0 until cs.dim).toSet, rng, sigma = 0.0, pCat = 0.0)
+      val p = cs.perturbInSubspace(c, (0 until cs.dim).toSet, rng, sigma = 0.0)
       (0 until cs.dim).forall { i =>
         cs.isCat(i) || math.abs(p(i) - c(i)) <= math.abs(c(i)) * 0.02 + 1.0
       }
@@ -69,7 +69,6 @@ object ConfigSpaceProps extends Properties("ConfigSpace") {
     nLoc <- Gen.frequency(1 -> Gen.const(0), 3 -> Gen.choose(1, 12))
     nGlob <- Gen.frequency(1 -> Gen.const(0), 3 -> Gen.choose(1, 6))
     sigma <- Gen.oneOf(Gen.const(0.15), Gen.choose(0.0, 0.6))
-    pCat <- Gen.oneOf(Gen.const(0.25), Gen.choose(0.0, 1.0))
     extra <- Gen.oneOf(Gen.const(Array.emptyDoubleArray), Gen.choose(0.0, 1.0).map(Array(_)))
     seed <- Gen.long
   } yield {
@@ -87,22 +86,19 @@ object ConfigSpaceProps extends Properties("ConfigSpace") {
     }
     val anchors = (if (withDefaults) SparkParams.defaults(space) +: random else random).take(nAnchors)
     val free = new Random(order).shuffle(pickFrom).take(size).toSet
-    (space, anchors, free, nSub, nLoc, nGlob, sigma, pCat, extra, seed)
+    (space, anchors, free, nSub, nLoc, nGlob, sigma, extra, seed)
   }
 
   property("the one-pass pool equals the three per-candidate streams to the bit") =
-    Prop.forAllNoShrink(poolCase) { case (space, anchors, free, nSub, nLoc, nGlob, sigma, pCat, extra, seed) =>
-      val (ra, rb, rc) = (new Random(seed), new Random(seed), new Random(seed))
-      val pool = space.drawPool(anchors, free, ra, nSub, nLoc, nGlob, sigma, pCat, extra)
-      val rawOnly = space.drawPool(anchors, free, rc, nSub, nLoc, nGlob, sigma, pCat, extra, unitRows = false)
-      val (refConfigs, refUnits) = PoolRef.pool(space, anchors, free, rb, nSub, nLoc, nGlob, sigma, pCat, extra)
-      val next = (ra.nextLong(), rb.nextLong(), rc.nextLong())
+    Prop.forAllNoShrink(poolCase) { case (space, anchors, free, nSub, nLoc, nGlob, sigma, extra, seed) =>
+      val (ra, rb) = (new Random(seed), new Random(seed))
+      val pool = space.drawPool(anchors, free, ra, nSub, nLoc, nGlob, sigma, extra)
+      val (refConfigs, refUnits) = PoolRef.pool(space, anchors, free, rb, nSub, nLoc, nGlob, sigma, extra)
       val label = s"free=$free anchors=${anchors.size} streams=($nSub, $nLoc, $nGlob) seed=$seed"
       (anchors.forall(c => space.clip(c) == c) :| s"$label: illegal anchor") &&
         ((pool.raw.toVector.map(bits(_)) == refConfigs.map(c => bits(c.values))) :| s"$label: raw values differ") &&
         ((Vector.tabulate(pool.size)(pool.config) == refConfigs) :| s"$label: configs differ") &&
         ((pool.unit.toVector.map(bits(_)) == refUnits.map(bits(_))) :| s"$label: unit rows differ") &&
-        ((rawOnly.raw.toVector.map(bits(_)) == refConfigs.map(c => bits(c.values))) :| s"$label: raw-only pool differs") &&
-        ((next._1 == next._2 && next._3 == next._2) :| s"$label: the Random is left in another state")
+        ((ra.nextLong() == rb.nextLong()) :| s"$label: the Random is left in another state")
     }
 }

@@ -22,13 +22,14 @@ object PoolRef {
   }
 
   /** One local move: free numeric dims take a Gaussian step in the unit
-    * cube, free categorical dims are redrawn with probability `pCat`. */
+    * cube, free categorical dims are redrawn with probability
+    * `ConfigSpace.PCat`. */
   def perturbInSubspace(cs: ConfigSpace, anchor: Config, free: Set[Int], rng: Random,
-                        sigma: Double, pCat: Double): Config = {
+                        sigma: Double): Config = {
     val u = cs.toUnit(anchor)
     free.foreach { i =>
       if (!cs.isCat(i)) u(i) = (u(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
-      else if (rng.nextDouble() < pCat) u(i) = rng.nextInt(cs.cardinality(i)).toDouble
+      else if (rng.nextDouble() < ConfigSpace.PCat) u(i) = rng.nextInt(cs.cardinality(i)).toDouble
     }
     cs.fromUnit(u)
   }
@@ -39,11 +40,11 @@ object PoolRef {
 
   /** The pool as the three streams, in order, and each draw's unit row. */
   def pool(cs: ConfigSpace, anchors: Seq[Config], free: Set[Int], rng: Random,
-           nSub: Int, nLoc: Int, nGlob: Int, sigma: Double, pCat: Double,
+           nSub: Int, nLoc: Int, nGlob: Int, sigma: Double,
            extra: Array[Double]): (Vector[Config], Vector[Array[Double]]) = {
     val configs =
       Vector.tabulate(nSub)(i => sampleInSubspace(cs, anchors(i % anchors.size), free, rng)) ++
-        Vector.tabulate(nLoc)(i => perturbInSubspace(cs, anchors(i % anchors.size), free, rng, sigma, pCat)) ++
+        Vector.tabulate(nLoc)(i => perturbInSubspace(cs, anchors(i % anchors.size), free, rng, sigma)) ++
         Vector.fill(nGlob)(sampleRandom(cs, rng))
     (configs, configs.map(c => cs.toUnit(c) ++ extra))
   }

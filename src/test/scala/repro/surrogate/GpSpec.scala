@@ -111,7 +111,7 @@ class GpSpec extends AnyFunSuite {
     val xs = Array.fill(12)(Array(r.nextDouble(), r.nextDouble()))
     val k = matern52(Array(0, 1), 0.4)
     val Vector(a, b) = Gp.fitAll(xs, Seq(xs.map(x => math.sin(5 * x(0)) + x(1)), xs.map(x => x(0) * x(1))),
-      _ => k, lsGrid = Seq(1.0))
+      _ => k)
     assert(a.f eq b.f)
     val pts = Array.fill(20)(Array(r.nextDouble(), r.nextDouble()))
     assert(pair(a, b, pts) == pts.toSeq.map(x => (a.predict(x), b.predict(x))))
@@ -122,10 +122,10 @@ class GpSpec extends AnyFunSuite {
     val xs = Array(Array(0.1), Array(0.5), Array(0.9))
     val ys = Array(1.0, 2.0, 0.5)
     val k = matern52(Array(0), 0.5)
-    val gp = Gp.fit(xs, ys, _ => k, lsGrid = Seq(1.0))
+    val gp = Gp.fit(xs, ys, _ => k)
     val others = Seq(
-      Gp.fit(xs, ys.reverse, _ => matern52(Array(0), 0.5), lsGrid = Seq(1.0)),
-      Gp.fit(xs.map(_.clone()), ys.reverse, _ => k, lsGrid = Seq(1.0)))
+      Gp.fit(xs, ys.reverse, _ => matern52(Array(0), 0.5)),
+      Gp.fit(xs.map(_.clone()), ys.reverse, _ => k))
     others.foreach { o =>
       assert(!(gp.f eq o.f))
       val pts = Array(0.0, 0.3, 0.5, 0.77, 1.2).map(Array(_))
@@ -159,7 +159,7 @@ class GpSpec extends AnyFunSuite {
     val ys = xs.map(x => math.sin(4 * x(0)) + x(1) * x(1) + 0.5 * x(2) + 0.05 * r.nextGaussian())
     val k = new MixedKernel(Array(0, 1), Array(2), none, 0.4, 1.0, 1.0)
     val noise = 1e-3
-    val gp = Gp.fit(xs, ys, _ => k, noise, lsGrid = Seq(1.0))
+    val gp = Gp.fit(xs, ys, _ => k, noise)
     val ref = KernelRef.mixed(Seq(KernelRef.matern52(Array(0, 1), 0.4), KernelRef.hamming(Array(2), 1.0)))
     val loo = gp.looResiduals
 
@@ -213,8 +213,8 @@ class GpSpec extends AnyFunSuite {
 
       val pts = xs.take(m) ++ Array.fill(m - xs.take(m).length)(point())
       val block = Block.of(pts)
-      val Vector(sharedA, sharedB) = Gp.fitAll(xs, Seq(yA, yB), _ => kernel(1.0), noise, lsGrid = Seq(1.0))
-      val splitB = Gp.fit(xs, yB, _ => kernel(2.0), noise, lsGrid = Seq(1.0))
+      val Vector(sharedA, sharedB) = Gp.fitAll(xs, Seq(yA, yB), _ => kernel(1.0), noise)
+      val splitB = Gp.fit(xs, yB, _ => kernel(2.0), noise)
       assert((sharedA.f eq sharedB.f) && !(sharedA.f eq splitB.f))
       def bits(ps: Seq[Pred]) = ps.map(p =>
         (java.lang.Double.doubleToRawLongBits(p.mean), java.lang.Double.doubleToRawLongBits(p.variance)))

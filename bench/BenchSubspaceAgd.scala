@@ -8,7 +8,7 @@ import repro.jobs.HiBenchCompareJob
 /** §6.5 sub-space and AGD ablations.
   *
   * Sub-space (Figure 7): tuning PageRank/TeraSort with the full 30-dim
-  * space vs a small fixed 6-dim space vs the adaptive sub-space; the
+  * space vs a sub-space of fixed size 6 vs the adaptive sub-space; the
   * adaptive method should track the better of the two everywhere.
   *
   * AGD (Figure 9): enabling approximate gradient descent reduces cost by
@@ -40,7 +40,7 @@ class BenchSubspaceAgd extends AnyFunSuite {
     val rows = Seq("pagerank", "terasort").map { t =>
       val full = costs(t, _.copy(useSubspace = false))
       val small = costs(t, _.copy(kInit = 6, kMin = 6, tauSucc = Int.MaxValue,
-        tauFail = Int.MaxValue)) // frozen 6-dim space
+        tauFail = Int.MaxValue)) // size fixed at 6; fANOVA refits still pick which 6
       val adaptive = costs(t, identity)
       (t, full, small, adaptive)
     }

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{BaselineTuner, Baselines}
+import repro.baselines.Baselines
 import repro.core.Objective
 import repro.env.{FleetGen, SparkClusterSim, WorkloadSpec, Workloads}
 import repro.space.{Config, SparkParams => SP}
@@ -35,9 +35,9 @@ object HiBenchCompareJob {
   def runOne(task: String, method: String, beta: Double, seed: Long,
              budget: Int): Cell = {
     val (sim, default, obj) = start(Workloads.byName(task), beta)
-    val tuner: BaselineTuner = Baselines.all.find(_.name == method)
+    val h = Baselines.all.find(_.name == method)
       .getOrElse(throw new NoSuchElementException(method))
-    val h = tuner.tune(sim, obj, budget, seed, Vector(default))
+      .tune(sim, obj, budget, seed, Vector(default))
     Cell(task, method, beta, seed, h.bestObjective)
   }
 

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import scala.util.Random
-import repro.core.{Objective, Observation}
+import repro.core.Objective
 import repro.env.{FleetGen, SparkClusterSim, Workloads}
 import repro.importance.FAnova
 

@@ -6,17 +6,18 @@ import repro.env.SparkClusterSim
 import repro.model.{Gbdt, RandomForest}
 import repro.space.{Config, ConfigSpace}
 
-/** A black-box tuning strategy evaluated online against the simulator.
-  * All baselines consume exactly the same per-iteration interface as the
-  * paper's framework: suggest a config, observe one production run.
-  */
-trait BaselineTuner {
-  def name: String
+/** A §6.3 tuning method: a name and a factory for one session's controller,
+  * built from the simulator, the objective, the seed and the `init` configs
+  * it serves first. The factory creates all of the session's mutable state,
+  * since concurrent sessions share one `Method`. */
+final case class Method(name: String,
+                        controller: (SparkClusterSim, Objective, Long, Vector[Config]) => Controller) {
   /** Run `budget` online trials. `init` configs (e.g. the default/incumbent
-    * configuration the job already runs with) are evaluated first and count
+    * configuration the job already runs with) are run first and count
     * against the budget — every method starts from the same knowledge. */
   def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config] = Vector.empty): RunHistory
+           init: Vector[Config] = Vector.empty): RunHistory =
+    Controller.run(controller(sim, objective, seed, init), sim, objective, budget).history
 }
 
 private object BaselineUtil {
@@ -55,55 +56,50 @@ private object BaselineUtil {
   }
 }
 
-/** Random Search [8]: a uniform random configuration per iteration. */
-final class RandomSearch extends BaselineTuner {
-  val name = "RandomSearch"
-  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config]): RunHistory = {
-    val rng = new Random(seed)
-    Controller.run((_, _) => Some(sim.cs.sampleRandom(rng)), sim, objective, budget, init).history
-  }
-}
-
-/** RFHOC [7] and DAC [79]: a performance model fit on the history plus
-  * genetic-algorithm search over it. Designed for offline sample
-  * collection; here each GA proposal costs one production run, after six
-  * random samples — the §6.3 finding that "ML models often need a large
-  * number of training samples, and 30 iterations are not sufficient".
-  *
-  * @param fit          fits a model on (inputs, log objectives, seed)
-  * @param withDataSize appends the normalised data size to the model input
-  */
-final class ModelGaTuner(val name: String, withDataSize: Boolean,
-                         fit: (Array[Array[Double]], Array[Double], Long) => Array[Double] => Double)
-    extends BaselineTuner {
-  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config]): RunHistory = {
-    val cs = sim.cs
-    val rng = new Random(seed)
-    def enc(c: Config, ds: Double): Array[Double] =
-      if (withDataSize) cs.toUnit(c) :+ sim.spec.dataSizeUnit(ds) else cs.toUnit(c)
-    def suggest(h: RunHistory, nextDs: Double): Option[Config] = Some(
-      if (h.size < init.size + 6) cs.sampleRandom(rng) // sample-collection phase
-      else {
-        val model = fit(h.all.map(o => enc(o.config, o.result.dataSizeGB)).toArray,
-          h.all.map(o => math.log(o.objective.max(1e-9))).toArray, seed + h.size)
-        val seedPop = h.all.sortBy(_.objective).take(5).map(_.config)
-        BaselineUtil.gaSearch(cs, seedPop, cc => model(enc(cc, nextDs)), rng)
-      })
-    Controller.run(suggest, sim, objective, budget, init).history
-  }
-}
-
-/** A BO method of §6.3 as a preset of the paper's own loop (`OnlineTuner`,
-  * meta-learning off): the Table 1 baselines are capability subsets of it. */
-final class PresetTuner(val name: String, preset: TunerSettings) extends BaselineTuner {
-  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config]): RunHistory =
-    new OnlineTuner(sim, objective, preset.copy(seed = seed), init).tune(budget).history
-}
-
 object Baselines {
+  /** A controller that ignores `observe`: the `init` configs, one run each, then `next`. */
+  private def serving(init: Vector[Config])(next: (RunHistory, Double) => Config): Controller =
+    (h, ds) => Some(if (h.size < init.size) init(h.size) else next(h, ds))
+
+  /** Random Search [8]: a uniform random configuration per iteration. */
+  val RandomSearch: Method = Method("RandomSearch", (sim, _, seed, init) => {
+    val rng = new Random(seed)
+    serving(init)((_, _) => sim.cs.sampleRandom(rng))
+  })
+
+  /** RFHOC [7] and DAC [79]: a performance model fit on the history plus
+    * genetic-algorithm search over it. Designed for offline sample
+    * collection; here each GA proposal costs one production run, after six
+    * random samples — the §6.3 finding that "ML models often need a large
+    * number of training samples, and 30 iterations are not sufficient".
+    *
+    * @param fit          fits a model on (inputs, log objectives, seed)
+    * @param withDataSize appends the normalised data size to the model input
+    */
+  private def modelGa(name: String, withDataSize: Boolean,
+                      fit: (Array[Array[Double]], Array[Double], Long) => Array[Double] => Double): Method =
+    Method(name, (sim, _, seed, init) => {
+      val cs = sim.cs
+      val rng = new Random(seed)
+      def enc(c: Config, ds: Double): Array[Double] =
+        if (withDataSize) cs.toUnit(c) :+ sim.spec.dataSizeUnit(ds) else cs.toUnit(c)
+      serving(init) { (h, nextDs) =>
+        if (h.size < init.size + 6) cs.sampleRandom(rng) // sample-collection phase
+        else {
+          val model = fit(h.all.map(o => enc(o.config, o.result.dataSizeGB)).toArray,
+            h.all.map(o => math.log(o.objective.max(1e-9))).toArray, seed + h.size)
+          val seedPop = h.all.sortBy(_.objective).take(5).map(_.config)
+          BaselineUtil.gaSearch(cs, seedPop, cc => model(enc(cc, nextDs)), rng)
+        }
+      }
+    })
+
+  /** A BO method of §6.3 as a preset of the paper's own loop (`OnlineTuner`,
+    * meta-learning off): the Table 1 baselines are capability subsets of it. */
+  private def preset(name: String, settings: TunerSettings): Method =
+    Method(name, (sim, objective, seed, init) =>
+      new OnlineTuner(sim, objective, settings.copy(seed = seed), init))
+
   /** What the BO baselines lack of ours: the safe region, AGD, the data-size
     * input and local moves around the incumbents (uniform candidates). */
   private val boBase = TunerSettings(useSafety = false, useAgd = false,
@@ -123,14 +119,14 @@ object Baselines {
   val Locat: TunerSettings = Tuneful.copy(useDataSize = true)
 
   /** All §6.3 comparison methods, paper order. */
-  def all: Vector[BaselineTuner] = Vector(
-    new RandomSearch,
-    new ModelGaTuner("RFHOC", withDataSize = false,
+  val all: Vector[Method] = Vector(
+    RandomSearch,
+    modelGa("RFHOC", withDataSize = false,
       (xs, ys, s) => RandomForest.fit(xs, ys, nTrees = 24, seed = s).predict),
-    new ModelGaTuner("DAC", withDataSize = true,
+    modelGa("DAC", withDataSize = true,
       (xs, ys, s) => Gbdt.fit(xs, ys, nTrees = 40, maxDepth = 3, seed = s).predict),
-    new PresetTuner("CherryPick", CherryPick),
-    new PresetTuner("Tuneful", Tuneful),
-    new PresetTuner("LOCAT", Locat),
-    new PresetTuner("Ours", TunerSettings()))
+    preset("CherryPick", CherryPick),
+    preset("Tuneful", Tuneful),
+    preset("LOCAT", Locat),
+    preset("Ours", TunerSettings()))
 }

@@ -1,6 +1,6 @@
 package repro.bo
 
-import repro.surrogate.{Pred, Surrogate}
+import repro.surrogate.Pred
 
 /** Acquisition functions for BO (§3.3, §4.2). */
 object Acquisition {

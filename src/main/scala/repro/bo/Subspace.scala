@@ -27,7 +27,7 @@ final class Subspace(cs: ConfigSpace, expertRanking: Vector[String],
   // fANOVA refit is *blended* into the running scores rather than replacing
   // them — the paper averages importance across histories, which keeps the
   // ranking stable against the noise of a single small tuning history.
-  private var scores: Array[Double] = {
+  private val scores: Array[Double] = {
     val s = new Array[Double](cs.dim)
     val prior = expertRanking.filter(cs.contains).map(cs.indexOf) ++
       (0 until cs.dim).filterNot(i =>

@@ -22,19 +22,19 @@ trait Controller {
 }
 
 object Controller {
-  /** The tuning session: the `init` configs first, then `c`'s suggestions,
+  /** The tuning session: `c`'s suggestions, its initial design included,
     * one production run each, for `budget` runs or until `c` stops.
     *
     * @param startIter index of the first production run (data-size drift
     *                  phase); lets callers model pre-tuning manual runs.
     */
   def run(c: Controller, sim: SparkClusterSim, objective: Objective, budget: Int,
-          init: Vector[Config], startIter: Int = 0): TuneOutcome = {
+          startIter: Int = 0): TuneOutcome = {
     val history = new RunHistory
     var it = 0
     while (it < budget) {
       val iter = startIter + it
-      val next = if (it < init.size) Some(init(it)) else c.suggest(history, sim.spec.dataSizeAt(iter))
+      val next = c.suggest(history, sim.spec.dataSizeAt(iter))
       if (next.isEmpty) return TuneOutcome(history, Some(it))
       val result = sim.run(next.get, iter)
       val y = objective.value(result)

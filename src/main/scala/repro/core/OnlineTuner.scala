@@ -65,9 +65,9 @@ final class OnlineTuner(sim: SparkClusterSim,
     kInit = settings.kInit, kMin = settings.kMin,
     tauSucc = settings.tauSucc, tauFail = settings.tauFail)
   val agd = new Agd(cs, objective.beta, sim.resource, eta = settings.agdEta)
-  /** Run before any suggestion: the warm starts, then low-discrepancy
-    * samples up to `nInit` runs. */
-  val initConfigs: Vector[Config] = {
+  /** The first runs' configs, served before any model is fit: the warm
+    * starts, then low-discrepancy samples up to `nInit` runs. */
+  private val initConfigs: Vector[Config] = {
     val lds = cs.sampleLowDiscrepancy(settings.nInit, settings.seed)
     (warmStart ++ lds).take(settings.nInit.max(warmStart.size))
   }
@@ -100,7 +100,7 @@ final class OnlineTuner(sim: SparkClusterSim,
   /** Run the online tuning session for `budget` production executions
     * (see `Controller.run` for `startIter`). */
   def tune(budget: Int, startIter: Int = 0): TuneOutcome =
-    Controller.run(this, sim, objective, budget, initConfigs, startIter)
+    Controller.run(this, sim, objective, budget, startIter)
 
   override def observe(history: RunHistory, improved: Boolean): Unit = {
     val n = history.size
@@ -117,9 +117,10 @@ final class OnlineTuner(sim: SparkClusterSim,
       subspace.freeze(history.all.map(_.config), logYs, settings.seed + n)
   }
 
-  /** Algorithm 2: one configuration suggestion for a run on `dsGB` GB of input.
-    * `None` when the stopping criterion fires (§3.3). */
+  /** The initial design, then Algorithm 2: one configuration for a run on
+    * `dsGB` GB of input. `None` when the stopping criterion fires (§3.3). */
   def suggest(history: RunHistory, dsGB: Double): Option[Config] = {
+    if (history.size < initConfigs.size) return Some(initConfigs(history.size))
     val obs = history.all
     val xs = obs.map(o => encode(o.config, o.result.dataSizeGB)).toArray
     val yObj = obs.map(o => math.log(o.objective.max(1e-9))).toArray
@@ -170,9 +171,10 @@ final class OnlineTuner(sim: SparkClusterSim,
     }
 
     // The whole pool is scored as one block. Without a reader of the
-    // runtime prediction, its slot holds the objective's.
+    // runtime prediction, its slot holds the objective's. An unbounded
+    // T_max reads as satisfied in both readers.
     val logTMax = math.log(objective.tMax)
-    val readsRt = (settings.useSafety || settings.useEic) && !objective.tMax.isPosInfinity
+    val readsRt = settings.useSafety || settings.useEic
     val block = Block.of(candidates.unit)
     val (pObjs, pRts) =
       if (!readsRt) { val p = objSurrogate.predictBlock(block); (p, p) }
@@ -185,7 +187,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     val resourceOk = all.filter(j => sim.resourceOfRow(candidates.raw(j)) <= objective.rMax)
     val pool0 = if (resourceOk.nonEmpty) resourceOk else all
     val pool =
-      if (!settings.useSafety || objective.tMax.isPosInfinity) pool0
+      if (!settings.useSafety) pool0
       else {
         val safe = pool0.filter(j => safeRegion.isSafe(Seq((pRts(j), logTMax))))
         if (safe.nonEmpty) safe
@@ -198,9 +200,8 @@ final class OnlineTuner(sim: SparkClusterSim,
         }
       }
 
-    val useEic = settings.useEic && !objective.tMax.isPosInfinity
     val withEic = pool.map { j =>
-      (j, Acquisition.eic(pObjs(j), yBestLog, if (useEic) Seq((pRts(j), logTMax)) else Nil))
+      (j, Acquisition.eic(pObjs(j), yBestLog, if (settings.useEic) Seq((pRts(j), logTMax)) else Nil))
     }
     val (jBest, maxEic) = withEic.maxBy(_._2)
     if (settings.stopEi > 0 && obs.size > settings.nInit && maxEic < settings.stopEi) None

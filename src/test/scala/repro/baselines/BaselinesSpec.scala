@@ -2,6 +2,7 @@ package repro.baselines
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Observation, RunHistory}
 import repro.env.{FleetGen, Workloads}
 import repro.jobs.HiBenchCompareJob
 import repro.space.{Config, ConfigSpace}
@@ -38,12 +39,29 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
-  private def byName(name: String): BaselineTuner = Baselines.all.find(_.name == name).get
+  private def byName(name: String): Method = Baselines.all.find(_.name == name).get
 
   test("baselines are deterministic in their seed") {
     Baselines.all.foreach { b =>
       def run(seed: Long) = b.tune(sim, obj, 12, seed, Vector(default)).all.map(_.objective)
       assert(run(11) == run(11), b.name)
+    }
+  }
+
+  test("every method's controller serves its init and, driven by hand, matches tune") {
+    Baselines.all.foreach { m =>
+      val c = m.controller(sim, obj, 4, Vector(default))
+      val h = new RunHistory
+      (0 until 12).foreach { it =>
+        val config = c.suggest(h, sim.spec.dataSizeAt(it)).get
+        val result = sim.run(config, it)
+        val y = obj.value(result)
+        val improved = obj.feasible(result) && y < h.bestObjective
+        h.add(Observation(config, result, y, obj.feasible(result), it))
+        c.observe(h, improved)
+      }
+      assert(h.all.head.config == default, m.name)
+      assert(h.all == m.tune(sim, obj, 12, 4, Vector(default)).all, m.name)
     }
   }
 
@@ -110,12 +128,12 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("BO-based baselines beat random search on average (seeded smoke)") {
-    def bestOf(b: BaselineTuner, seeds: Seq[Long]): Double =
+    def bestOf(b: Method, seeds: Seq[Long]): Double =
       seeds.map(s => b.tune(sim, obj, 15, s, Vector(default)).bestObjective).sum / seeds.size
     // Smoke-level check only (15 iters, 3 seeds, one task) — the real
     // comparison with 30 iters × 6 tasks is BenchFigure45.
     val seeds = Seq(1L, 2L, 3L)
-    val rs = bestOf(new RandomSearch, seeds)
+    val rs = bestOf(Baselines.RandomSearch, seeds)
     Seq("CherryPick", "Tuneful", "LOCAT", "Ours").foreach { m =>
       val bo = bestOf(byName(m), seeds)
       info(f"$m: ${bo / rs}%.3f of random search")

@@ -76,9 +76,7 @@ class OnlineTunerSpec extends AnyFunSuite {
     val tuner = new OnlineTuner(sim, objective, settings, Vector(manual))
     val h = new RunHistory
     (0 until 30).foreach { it =>
-      val config =
-        if (it < tuner.initConfigs.size) tuner.initConfigs(it)
-        else tuner.suggest(h, sim.spec.dataSizeAt(it)).get
+      val config = tuner.suggest(h, sim.spec.dataSizeAt(it)).get
       val result = sim.run(config, it)
       val y = objective.value(result)
       val improved = objective.feasible(result) && y < h.bestObjective
@@ -91,7 +89,7 @@ class OnlineTunerSpec extends AnyFunSuite {
   test("golden history: no data-size dim, meta ensemble and unbounded runtime sessions") {
     // Paths the default sessions miss: a kernel without an SE column, the
     // Eq. 12 ensemble over a source-task GP, and β = 0.5 with T_max = ∞,
-    // where nothing reads the runtime GP.
+    // where the safe filter and EIC read every runtime bound as met.
     val noDs = digest(session(objective, TunerSettings(seed = 14, useDataSize = false)))
     val src = repro.meta.SourceTask.fromHistory(cs, "src",
       repro.meta.MetaFeatures.fromSpec(Workloads.TeraSort),

@@ -1,7 +1,7 @@
 package repro.meta
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Objective, Observation}
+import repro.core.Observation
 import repro.env.{FleetGen, RunResult}
 import repro.space.{SparkParams => SP}
 import repro.surrogate.{Pred, Surrogate}

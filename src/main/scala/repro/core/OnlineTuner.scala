@@ -5,7 +5,8 @@ import repro.bo.{Acquisition, Agd, SafeRegion, Subspace}
 import repro.env.SparkClusterSim
 import repro.meta.TaskSimilarity
 import repro.space.{Config, ConfigSpace, SparkParams}
-import repro.surrogate.{Block, Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
+import repro.surrogate.{Block, Gp, GpState, MetaEnsemble, MixedKernel, Pred, Surrogate}
+import repro.util.UnsyncRandom
 
 /** Feature switches + hyper-parameters of the tuning framework.
   *
@@ -81,7 +82,10 @@ final class OnlineTuner(sim: SparkClusterSim,
   /** Unit-encode a config run on `dsGB` GB. */
   private def encode(c: Config, dsGB: Double): Array[Double] = cs.toUnit(c) ++ dsCoords(dsGB)
 
-  private val kernelOf = MixedKernel.family(cs, withDataSize = settings.useDataSize)
+  /** The session's GP fit state: each suggestion adds the runs since the
+    * last one, and starts over for a history that does not extend the
+    * runs it holds. */
+  private val gpState = new GpState(MixedKernel.family(cs, withDataSize = settings.useDataSize), noise = 1e-3)
 
   /** Weight of the current-task surrogate in the Eq. 12 ensemble [25]:
     * rank agreement of its leave-one-out means with the targets, floored
@@ -122,13 +126,13 @@ final class OnlineTuner(sim: SparkClusterSim,
   def suggest(history: RunHistory, dsGB: Double): Option[Config] = {
     if (history.size < initConfigs.size) return Some(initConfigs(history.size))
     val obs = history.all
-    val xs = obs.map(o => encode(o.config, o.result.dataSizeGB)).toArray
     val yObj = obs.map(o => math.log(o.objective.max(1e-9))).toArray
     val yRt = obs.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray
 
-    // One factorisation per grid lengthscale serves both GPs; the runtime
-    // GP then costs only its own triangular solves, read or not.
-    val Vector(gpObjLocal, gpRt) = Gp.fitAll(xs, Seq(yObj, yRt), kernelOf, noise = 1e-3)
+    // One factor per grid lengthscale serves both GPs; the runtime GP then
+    // costs only its own triangular solves, read or not.
+    val Vector(gpObjLocal, gpRt) =
+      gpState.update(obs)(o => encode(o.config, o.result.dataSizeGB)).fit(Seq(yObj, yRt))
 
     val ranked = RunHistory.ranked(obs)
     val best = ranked.head

@@ -15,7 +15,8 @@ object Lin {
 
   /** Cholesky factor L (lower-triangular) of SPD matrix `a`, with jitter
     * escalation: from [[Jitter]], a failed factorization is retried with
-    * 10× the jitter, [[MaxTries]] tries in all. Returns (L, usedJitter).
+    * 10× the jitter, [[MaxTries]] tries in all. Returns (L, usedJitter);
+    * [[GrowingCholesky]] keeps the jitter to extend L at.
     *
     * Only the lower triangle of `a` is read (`a(i)(k)` for k ≤ i), so row
     * i of `a` may hold just its first i + 1 entries.
@@ -122,5 +123,73 @@ object Lin {
     var s = 0.0; var i = 0
     while (i < l.length) { s += math.log(l(i)(i)); i += 1 }
     2.0 * s
+  }
+}
+
+/** The Cholesky factor of a matrix that grows by one row and column at a
+  * time, as [[Lin.cholesky]] computes it. After rows 0..n−1 of a
+  * symmetric matrix A's lower triangle were passed to [[extend]] in
+  * order, [[factor]], [[jitter]] and [[logDet]] equal `Lin.cholesky` of
+  * A's leading n×n block, and `Lin.logDet` of it, to the bit.
+  *
+  * `extend` computes row n of L with the operations `Lin.cholesky` runs
+  * for that row, at the jitter in use. Rows 0..n−1 of `Lin.cholesky`'s
+  * factor depend only on the leading block, so they are unchanged, and
+  * every smaller jitter already failed inside that block. When the new
+  * pivot is ≤ 0, `Lin.cholesky` refactors the whole matrix and escalates
+  * the jitter from there; the jitter never falls. Rows of L are never
+  * written once stored, so a [[factor]] taken earlier stays valid.
+  */
+final class GrowingCholesky extends Serializable {
+  private var a = new Array[Array[Double]](16) // row i holds A(i, 0..i)
+  private var l = new Array[Array[Double]](16)
+  private var n = 0
+  private var j = Lin.Jitter
+  private var halfLogDet = 0.0 // Σ log L(i, i), summed in row order as Lin.logDet
+
+  def size: Int = n
+  def jitter: Double = j
+  def logDet: Double = 2.0 * halfLogDet
+
+  /** L's rows 0..n−1; row i may hold just its first i + 1 entries. */
+  def factor: Array[Array[Double]] = java.util.Arrays.copyOf(l, n)
+
+  /** Appends row n of A: `row(k)` = A(n, k) for k ≤ n. */
+  def extend(row: Array[Double]): Unit = {
+    require(row.length > n, "row shorter than the factor")
+    if (n == a.length) {
+      a = java.util.Arrays.copyOf(a, 2 * n)
+      l = java.util.Arrays.copyOf(l, 2 * n)
+    }
+    val i = n
+    val li = new Array[Double](i + 1)
+    var ok = true
+    var k = 0
+    while (ok && k <= i) {
+      val lk = if (k == i) li else l(k)
+      var s = 0.0
+      var m = 0
+      while (m < k) { s += li(m) * lk(m); m += 1 }
+      if (i == k) {
+        val d = row(i) + j - s
+        if (d <= 0.0) ok = false else li(i) = math.sqrt(d)
+      } else {
+        li(k) = (row(k) - s) / lk(k)
+      }
+      k += 1
+    }
+    a(i) = row
+    if (ok) {
+      l(i) = li
+      halfLogDet += math.log(li(i))
+    } else {
+      val (full, used) = Lin.cholesky(java.util.Arrays.copyOf(a, i + 1))
+      System.arraycopy(full, 0, l, 0, i + 1)
+      j = used
+      halfLogDet = 0.0
+      k = 0
+      while (k <= i) { halfLogDet += math.log(full(k)(k)); k += 1 }
+    }
+    n += 1
   }
 }

@@ -1,6 +1,7 @@
 package repro.model
 
 import scala.util.Random
+import repro.util.UnsyncRandom
 
 /** CART regression tree with variance-reduction splits.
   *
@@ -192,7 +193,7 @@ object RandomForest {
           nTrees: Int = 32, maxDepth: Int = 8, minLeaf: Int = 2,
           seed: Long = 0L): RandomForest = {
     require(xs.nonEmpty, "empty training set")
-    val rng = new Random(seed)
+    val rng = new Random(new UnsyncRandom(seed)) // java.util.Random's stream, without the lock
     val nFeat = xs(0).length
     val mtry = math.max(1, (nFeat / 3.0).round.toInt)
     val trees = Vector.fill(nTrees) {

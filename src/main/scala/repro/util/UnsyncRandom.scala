@@ -1,4 +1,4 @@
-package repro.core
+package repro.util
 
 /** `java.util.Random` on a plain `long`: the 48-bit linear congruential
   * generator its Javadoc specifies, and the same polar method for
@@ -8,7 +8,7 @@ package repro.core
   * by compare-and-set, and `nextGaussian` takes no lock. Every other
   * method (`nextInt(bound)`, `nextDouble`, `nextLong`, …) is inherited
   * and draws through `next`. One instance must stay on one thread; a
-  * tuning session's generator does.
+  * tuning session's generator and a forest's do.
   */
 final class UnsyncRandom(seed: Long) extends java.util.Random(0L) {
   import UnsyncRandom._

@@ -86,6 +86,22 @@ class OnlineTunerSpec extends AnyFunSuite {
     assert(digest(TuneOutcome(h, None)) == digest(session(objective, settings)))
   }
 
+  test("one tuner fed unrelated histories in turn suggests what a fresh tuner does for each") {
+    // Its GP state extends only a history that continues the runs it holds.
+    // At 4, 9 and 14 runs the next run is an AGD step, which reads the GPs
+    // and the history but no random draw, so a fresh tuner is comparable.
+    def history(seed: Long) = new OnlineTuner(sim, objective, TunerSettings(seed = seed), Vector(manual))
+      .tune(14).history.all
+    val (a, b) = (history(21), history(22))
+    def prefix(obs: Vector[Observation], n: Int) = { val h = new RunHistory; obs.take(n).foreach(h.add); h }
+    val tuner = new OnlineTuner(sim, objective, TunerSettings(seed = 23), Vector(manual))
+    for ((obs, n) <- Seq((a, 4), (a, 9), (b, 4), (a, 14), (b, 9), (b, 14), (a, 9))) {
+      val ds = sim.spec.dataSizeAt(n)
+      val fresh = new OnlineTuner(sim, objective, TunerSettings(seed = 23), Vector(manual)).suggest(prefix(obs, n), ds)
+      assert(tuner.suggest(prefix(obs, n), ds) == fresh, s"${if (obs eq a) "a" else "b"} at $n runs")
+    }
+  }
+
   test("golden history: no data-size dim, meta ensemble and unbounded runtime sessions") {
     // Paths the default sessions miss: a kernel without an SE column, the
     // Eq. 12 ensemble over a source-task GP, and β = 0.5 with T_max = ∞,

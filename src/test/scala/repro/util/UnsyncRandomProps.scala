@@ -1,4 +1,4 @@
-package repro.core
+package repro.util
 
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.propBoolean

@@ -1,7 +1,8 @@
-package repro.util
+package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.propBoolean
+import repro.util.UnsyncRandom
 
 /** `UnsyncRandom` against `java.util.Random` from the same seed, over a
   * random mix of calls, both bare and wrapped in `scala.util.Random`. The

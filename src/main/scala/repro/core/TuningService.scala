@@ -121,8 +121,9 @@ object TuningService {
                 withMeta: Boolean = true): Dataset[FleetRow] = {
     import spark.implicits._
     val kb = if (withMeta) Some(buildKnowledgeBase()) else None
-    val ds = spark.createDataset(tasks).repartition(
-      math.min(tasks.size, spark.sparkContext.defaultParallelism * 2).max(1))
+    // Contiguous slices, no shuffle: rows come back in task order.
+    val ds = spark.createDataset(spark.sparkContext.parallelize(tasks,
+      math.min(tasks.size, spark.sparkContext.defaultParallelism * 2).max(1)))
     ds.map { task =>
       val warm = kb match {
         case Some((model, sources)) =>

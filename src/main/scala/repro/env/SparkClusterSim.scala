@@ -70,7 +70,7 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends
     val usableGB = (m - 0.3).max(0.3)                       // JVM/overhead reserve
     val storagePerExec = usableGB * memFrac * storFrac
     val pressure = this.pressure(c, ds)
-    val oom = pressure > 6.0
+    val oom = pressure > SparkClusterSim.OomPressure
     // Spill: gentle until 1×, then linear slow-down, capped.
     val spillFactor =
       if (pressure <= 1.0) 1.0
@@ -186,7 +186,7 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends
   }
 
   /** Whether configuration `c` OOMs at data size `ds` (deterministic). */
-  def fails(c: Config, ds: Double): Boolean = pressure(c, ds) > 6.0
+  def fails(c: Config, ds: Double): Boolean = pressure(c, ds) > SparkClusterSim.OomPressure
 
   private val instancesDim = cs.indexOf(SP.Instances)
   private val coresDim = cs.indexOf(SP.ExecCores)
@@ -229,6 +229,9 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends
 
 object SparkClusterSim {
   final val NoiseSigma = 0.04
+  /** Memory pressure above which a run OOMs: its runtime pays the OOM
+    * penalty and [[RunResult.failed]] is set. */
+  final val OomPressure = 6.0
   final val CalibrationSteps = 6
 
   /** Scale `spec.cpuSecPerGB` so that the noise-free runtime of

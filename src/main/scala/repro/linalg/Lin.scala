@@ -10,47 +10,6 @@ package repro.linalg
   */
 object Lin {
 
-  final val Jitter = 1e-10
-  final val MaxTries = 8
-
-  /** Cholesky factor L (lower-triangular) of SPD matrix `a`, with jitter
-    * escalation: from [[Jitter]], a failed factorization is retried with
-    * 10× the jitter, [[MaxTries]] tries in all. Returns (L, usedJitter);
-    * [[GrowingCholesky]] keeps the jitter to extend L at.
-    *
-    * Only the lower triangle of `a` is read (`a(i)(k)` for k ≤ i), so row
-    * i of `a` may hold just its first i + 1 entries.
-    */
-  def cholesky(a: Array[Array[Double]]): (Array[Array[Double]], Double) = {
-    val n = a.length
-    var j = Jitter
-    var tries = 0
-    while (tries < MaxTries) {
-      val l = Array.ofDim[Double](n, n)
-      var ok = true
-      var i = 0
-      while (ok && i < n) {
-        var k = 0
-        while (ok && k <= i) {
-          var s = 0.0
-          var m = 0
-          while (m < k) { s += l(i)(m) * l(k)(m); m += 1 }
-          if (i == k) {
-            val d = a(i)(i) + j - s
-            if (d <= 0.0) ok = false else l(i)(i) = math.sqrt(d)
-          } else {
-            l(i)(k) = (a(i)(k) - s) / l(k)(k)
-          }
-          k += 1
-        }
-        i += 1
-      }
-      if (ok) return (l, j)
-      j *= 10; tries += 1
-    }
-    throw new ArithmeticException(s"cholesky failed after $MaxTries jitter escalations")
-  }
-
   /** Solve L y = b for lower-triangular L. */
   def solveLower(l: Array[Array[Double]], b: Array[Double]): Array[Double] = {
     val n = l.length
@@ -117,79 +76,102 @@ object Lin {
     while (i < a.length) { s += a(i) * b(i); i += 1 }
     s
   }
-
-  /** log|K| from the Cholesky factor. */
-  def logDet(l: Array[Array[Double]]): Double = {
-    var s = 0.0; var i = 0
-    while (i < l.length) { s += math.log(l(i)(i)); i += 1 }
-    2.0 * s
-  }
 }
 
-/** The Cholesky factor of a matrix that grows by one row and column at a
-  * time, as [[Lin.cholesky]] computes it. After rows 0..n−1 of a
-  * symmetric matrix A's lower triangle were passed to [[extend]] in
-  * order, [[factor]], [[jitter]] and [[logDet]] equal `Lin.cholesky` of
-  * A's leading n×n block, and `Lin.logDet` of it, to the bit.
+/** The Cholesky factor L of a symmetric matrix A that grows by one row
+  * and column at a time, with jitter escalation: L·Lᵀ = A + jI for the
+  * first j of [[GrowingCholesky.Jitter]], 10× that, 100× that, … at which
+  * every pivot is positive, [[GrowingCholesky.MaxTries]] values in all.
   *
-  * `extend` computes row n of L with the operations `Lin.cholesky` runs
-  * for that row, at the jitter in use. Rows 0..n−1 of `Lin.cholesky`'s
-  * factor depend only on the leading block, so they are unchanged, and
-  * every smaller jitter already failed inside that block. When the new
-  * pivot is ≤ 0, `Lin.cholesky` refactors the whole matrix and escalates
-  * the jitter from there; the jitter never falls. Rows of L are never
-  * written once stored, so a [[factor]] taken earlier stays valid.
+  * [[extend]] computes the new row of L at the jitter in use. When a
+  * pivot is ≤ 0, it multiplies the jitter by 10 and recomputes every row,
+  * again while a pivot fails. Every smaller jitter has already failed on a
+  * leading block, so the jitter is the first of the sequence that factors
+  * the whole matrix, and L is what a factorisation of the whole matrix from
+  * scratch gives, to the bit. Rows of L are never written once stored, so
+  * a [[factor]] taken earlier stays valid.
   */
 final class GrowingCholesky extends Serializable {
+  import GrowingCholesky.{Jitter, MaxTries}
   private var a = new Array[Array[Double]](16) // row i holds A(i, 0..i)
   private var l = new Array[Array[Double]](16)
   private var n = 0
-  private var j = Lin.Jitter
-  private var halfLogDet = 0.0 // Σ log L(i, i), summed in row order as Lin.logDet
+  private var j = Jitter
+  private var escalations = 0 // j is Jitter multiplied by 10 this many times
+  private var halfLogDet = 0.0 // Σ log L(i, i), summed in row order
 
   def size: Int = n
   def jitter: Double = j
+  /** log|A + jI| = 2 Σ log L(i, i). */
   def logDet: Double = 2.0 * halfLogDet
 
   /** L's rows 0..n−1; row i may hold just its first i + 1 entries. */
   def factor: Array[Array[Double]] = java.util.Arrays.copyOf(l, n)
 
-  /** Appends row n of A: `row(k)` = A(n, k) for k ≤ n. */
+  /** Appends row n of A: `row(k)` = A(n, k) for k ≤ n. Throws
+    * `ArithmeticException`, leaving the factor as it was, when no jitter
+    * of the sequence factors the grown matrix. */
   def extend(row: Array[Double]): Unit = {
     require(row.length > n, "row shorter than the factor")
     if (n == a.length) {
       a = java.util.Arrays.copyOf(a, 2 * n)
       l = java.util.Arrays.copyOf(l, 2 * n)
     }
-    val i = n
-    val li = new Array[Double](i + 1)
-    var ok = true
-    var k = 0
-    while (ok && k <= i) {
-      val lk = if (k == i) li else l(k)
-      var s = 0.0
-      var m = 0
-      while (m < k) { s += li(m) * lk(m); m += 1 }
-      if (i == k) {
-        val d = row(i) + j - s
-        if (d <= 0.0) ok = false else li(i) = math.sqrt(d)
-      } else {
-        li(k) = (row(k) - s) / lk(k)
+    a(n) = row
+    // Row n at the jitter in use; on a failed pivot, rows 0..n again at
+    // 10× the jitter, into new rows, so that a throw leaves L as it was.
+    var rows = l
+    var jt = j
+    var tries = escalations
+    var i = n
+    while (i <= n) {
+      val li = rowOf(i, rows, jt)
+      if (li != null) { rows(i) = li; i += 1 }
+      else {
+        tries += 1
+        if (tries == MaxTries) throw new ArithmeticException(s"cholesky failed after $MaxTries jitter escalations")
+        jt *= 10
+        rows = new Array[Array[Double]](l.length)
+        i = 0
       }
-      k += 1
     }
-    a(i) = row
-    if (ok) {
-      l(i) = li
-      halfLogDet += math.log(li(i))
-    } else {
-      val (full, used) = Lin.cholesky(java.util.Arrays.copyOf(a, i + 1))
-      System.arraycopy(full, 0, l, 0, i + 1)
-      j = used
+    if (rows eq l) halfLogDet += math.log(l(n)(n))
+    else {
+      l = rows
+      j = jt
+      escalations = tries
       halfLogDet = 0.0
-      k = 0
-      while (k <= i) { halfLogDet += math.log(full(k)(k)); k += 1 }
+      i = 0
+      while (i <= n) { halfLogDet += math.log(l(i)(i)); i += 1 }
     }
     n += 1
   }
+
+  /** Row i of L at jitter `jt` from A's row i and L's rows 0..i−1 in `ls`,
+    * or null when its pivot is ≤ 0. L(i, k) for k < i is
+    * (A(i, k) − Σ_{m<k} L(i, m)·L(k, m)) / L(k, k), and the pivot is
+    * √(A(i, i) + jt − Σ_{m<i} L(i, m)²), each sum in increasing m. */
+  private def rowOf(i: Int, ls: Array[Array[Double]], jt: Double): Array[Double] = {
+    val ai = a(i)
+    val li = new Array[Double](i + 1)
+    var k = 0
+    while (k <= i) {
+      val lk = if (k == i) li else ls(k)
+      var s = 0.0
+      var m = 0
+      while (m < k) { s += li(m) * lk(m); m += 1 }
+      if (k == i) {
+        val d = ai(i) + jt - s
+        if (d <= 0.0) return null
+        li(i) = math.sqrt(d)
+      } else li(k) = (ai(k) - s) / lk(k)
+      k += 1
+    }
+    li
+  }
+}
+
+object GrowingCholesky {
+  final val Jitter = 1e-10
+  final val MaxTries = 8
 }

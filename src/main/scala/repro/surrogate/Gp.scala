@@ -43,7 +43,7 @@ private final class Factor(val ls: Double, val rows: KernelRows, val noise: Doub
   * use). A new point adds one kernel row per lengthscale, with the raw
   * distances computed once for all of them, and one row to each factor, so
   * a suggestion after n runs costs O(n²) per lengthscale instead of a
-  * fresh O(n³) factorisation. [[Gp.fitAll]] is a fresh state fed its points
+  * fresh O(n³) factorisation. [[Gp.fit]] is a fresh state fed its points
   * in order, so [[fit]] equals it on the same points to the bit.
   *
   * One session owns one state; it is not safe to share between threads.
@@ -153,27 +153,17 @@ final class Gp private[surrogate] (private[surrogate] val f: Factor,
     * the block of one point. */
   def predict(x: Array[Double]): Pred = predictBlock(Block.of(Array(x)))(0)
 
-  override def predictBlock(c: Block): Array[Pred] = {
-    val k = f.rows.block(c)
-    val mu = means(k)
-    at(mu, f.explained(k))
-  }
+  override def predictBlock(c: Block): Array[Pred] = Gp.predictTogether(Array(this), c)(0)
 
-  /** ([[predictBlock]], `o.predictBlock`) on `c`. When both GPs were fitted
-    * together and selected the same lengthscale, they share L, so one
-    * kernel block k(X, C) and one solve V = L⁻¹k(X, C) serve both. When
-    * they selected different lengthscales on the same points, the two
-    * kernel blocks share their raw distances. */
-  def predictPair(o: Gp, c: Block): (Array[Pred], Array[Pred]) =
-    if (f eq o.f) {
-      val k = f.rows.block(c)
-      val (mu, muO) = (means(k), o.means(k))
-      val vv = f.explained(k)
-      (at(mu, vv), o.at(muO, vv))
-    } else if (f.rows.sharesPoints(o.f.rows)) {
-      val Array(k, kO) = KernelRows.blocks(Array(f.rows, o.f.rows), c)
-      (at(means(k), f.explained(k)), o.at(o.means(kO), o.f.explained(kO)))
-    } else (predictBlock(c), o.predictBlock(c))
+  /** ([[predictBlock]], `o.predictBlock`) on `c`, for two GPs of one fit
+    * (one [[GpState]] at one size). When both selected the same
+    * lengthscale, they share L, so one kernel block k(X, C) and one solve
+    * V = L⁻¹k(X, C) serve both; otherwise their two kernel blocks share
+    * the raw distances. */
+  def predictPair(o: Gp, c: Block): (Array[Pred], Array[Pred]) = {
+    val Array(p, pO) = Gp.predictTogether(Array(this, o), c)
+    (p, pO)
+  }
 
   /** The standardised means k(X, C(j))·α from the kernel block `k`. */
   private def means(k: Array[Array[Double]]): Array[Double] = {
@@ -220,26 +210,30 @@ object Gp {
   /** The lengthscale multipliers every fit tries, in order (a tie keeps the first). */
   val LsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)
 
-  /** Fit a GP on raw (unit-encoded) inputs and targets: [[fitAll]] with one
-    * target. */
-  def fit(xs: Array[Array[Double]], ys: Array[Double],
-          kernelOf: Double => MixedKernel,
-          noise: Double = 1e-4): Gp =
-    fitAll(xs, Seq(ys), kernelOf, noise).head
-
-  /** Fit one GP per target in `yss`, all on the inputs `xs`: a fresh
-    * [[GpState]] fed `xs` in order. Each grid kernel's gram matrix is built
-    * and factored once; each target then selects its own lengthscale by
-    * marginal log-likelihood, so every GP equals a separate [[fit]] on its
-    * target.
+  /** Fit a GP on raw (unit-encoded) inputs and targets: a fresh
+    * [[GpState]] fed `xs` in order, which selects the lengthscale by
+    * marginal log-likelihood.
     *
     * @param kernelOf builds a kernel given a lengthscale multiplier from
     *                 [[LsGrid]]
     */
-  def fitAll(xs: Array[Array[Double]], yss: Seq[Array[Double]],
-             kernelOf: Double => MixedKernel,
-             noise: Double = 1e-4): Vector[Gp] =
-    new GpState(kernelOf, noise).update(xs)(identity).fit(yss)
+  def fit(xs: Array[Array[Double]], ys: Array[Double],
+          kernelOf: Double => MixedKernel,
+          noise: Double = 1e-4): Gp =
+    new GpState(kernelOf, noise).update(xs)(identity).fit(Seq(ys)).head
+
+  /** The predictions of `gps`, GPs of one fit, on `c`, in order: one kernel
+    * block per distinct factor, with the raw distances computed once for
+    * all of them; each GP's means are taken before `explained` overwrites
+    * its factor's block. */
+  private def predictTogether(gps: Array[Gp], c: Block): Array[Array[Pred]] = {
+    val fs = gps.map(_.f).distinct
+    require(fs.forall(_.rows.sharesPoints(fs(0).rows)), "GPs of different fits")
+    val ks = KernelRows.blocks(fs.map(_.rows), c)
+    val mus = gps.map(g => g.means(ks(fs.indexOf(g.f))))
+    val vvs = fs.indices.map(r => fs(r).explained(ks(r)))
+    gps.zip(mus).map { case (g, mu) => g.at(mu, vvs(fs.indexOf(g.f))) }
+  }
 }
 
 /** Meta-learning ensemble surrogate (Eq. 12): a similarity-weighted sum of

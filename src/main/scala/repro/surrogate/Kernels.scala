@@ -59,9 +59,6 @@ final class MixedKernel(private[surrogate] val numDims: Array[Int],
   private[surrogate] def sameDims(other: MixedKernel): Boolean =
     Arrays.equals(numDims, other.numDims) && Arrays.equals(catDims, other.catDims) &&
       Arrays.equals(dsDims, other.dsDims)
-
-  /** This kernel bound to the training points `xs`. */
-  def rows(xs: Array[Array[Double]]): KernelRows = new KernelRows(this, Columns.of(Block.of(xs), this), xs.length)
 }
 
 object MixedKernel {
@@ -138,11 +135,7 @@ private[surrogate] object Columns {
 final class KernelRows private[surrogate] (private[surrogate] val k: MixedKernel,
                                            private[surrogate] val x: Columns,
                                            val n: Int) extends Serializable {
-  /** Writes k(X(i), C(j)) into `out(i)(j)` for every i < n and j < c.m;
-    * entries of a row from c.m on are left as they are. */
-  def into(c: Block, out: Array[Array[Double]]): Unit = KernelRows.into(Array(this), c, Array(out))
-
-  /** k(X, C), as [[into]] writes it. */
+  /** k(X, C): row i holds k(X(i), C(j)) for every j < c.m. */
   def block(c: Block): Array[Array[Double]] = KernelRows.blocks(Array(this), c)(0)
 
   /** Whether `o` is bound to the same training points. */
@@ -159,20 +152,13 @@ private[surrogate] object KernelRows {
     a
   }
 
-  /** k(X, C) for each of `rs`, as [[into]] writes them. */
+  /** k(X, C) for each of `rs`, as [[KernelRows.block]] gives it. All of
+    * `rs` are bound to the same points ([[KernelRows.sharesPoints]]) with
+    * kernels over the same dims, as the kernels of one [[GpState]] are, so
+    * the raw distances from X to C are computed once for all of them. */
   def blocks(rs: Array[KernelRows], c: Block): Array[Array[Array[Double]]] = {
-    val outs = rs.map(r => zeros(r.n, c.m))
-    into(rs, c, outs)
-    outs
-  }
-
-  /** Writes each `rs(r)`'s block k(X, C) into `outs(r)`, as
-    * [[KernelRows.into]] does. All of `rs` are bound to the same points
-    * ([[KernelRows.sharesPoints]]) with kernels over the same dims, so the
-    * raw distances from X to C are computed once for all of them. */
-  def into(rs: Array[KernelRows], c: Block, outs: Array[Array[Array[Double]]]): Unit = {
     val r0 = rs(0)
-    require(rs.forall(r => r.sharesPoints(r0) && r.k.sameDims(r0.k)), "kernels over different points or dims")
+    val outs = rs.map(r => zeros(r.n, c.m))
     val ks = rs.map(_.k)
     val y = Columns.of(c, r0.k)
     val d = new Distances(c.m)
@@ -184,6 +170,7 @@ private[surrogate] object KernelRows {
       d.rowInto(ks, r0.x, i, y, row)
       i += 1
     }
+    outs
   }
 
   /** Writes s = Σ ((x(j)(i) − y(j)(q)) · inv)² over the columns j, summed in

@@ -34,6 +34,7 @@ class TuningServiceSpec extends SparkSpec {
     val tasks = FleetGen.fleet(4, seed = 12)
     val rows = TuningService.tuneFleet(spark, tasks, budget = 8, withMeta = false).collect()
     assert(rows.length == 4)
+    assert(rows.map(_.name).toSeq == tasks.map(_.name)) // collected in task order
     rows.foreach(r => assert(r.preRuntime > 0 && r.postRuntime > 0))
     // Each row depends on its task alone, not on the job's partitioning.
     assert(rows.sortBy(_.name).toSeq == tasks.sortBy(_.name).map(TuningService.tuneOne(_, 8)))

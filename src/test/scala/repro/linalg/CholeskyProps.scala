@@ -4,11 +4,11 @@ import scala.util.{Failure, Random, Success, Try}
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.propBoolean
 
-/** `GrowingCholesky` against `Lin.cholesky` of every leading block. The
-  * matrices are B·Bᵀ with B of n×rank, rank < n mostly, scaled so that the
-  * rounding in the singular blocks' pivots spans the jitter ladder: some
-  * prefixes pass at the first jitter, some escalate once or several times,
-  * and some exhaust it. */
+/** `GrowingCholesky` against `CholeskyRef.cholesky` of every leading
+  * block. The matrices are B·Bᵀ with B of n×rank, rank < n mostly, scaled
+  * so that the rounding in the singular blocks' pivots spans the jitter
+  * ladder: some prefixes pass at the first jitter, some escalate once or
+  * several times, and some exhaust it. */
 object CholeskyProps extends Properties("GrowingCholesky") {
   private val gram: Gen[Array[Array[Double]]] = for {
     n <- Gen.choose(1, 20)
@@ -24,22 +24,23 @@ object CholeskyProps extends Properties("GrowingCholesky") {
 
   private def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
 
-  property("at every prefix, factor, jitter and logDet equal Lin.cholesky's to the bit") =
+  property("factor, jitter and logDet match CholeskyRef per prefix") =
     Prop.forAllNoShrink(gram) { a =>
       val g = new GrowingCholesky
       var escalated = false
-      /** The first prefix size at which `g` and Lin.cholesky differ, if any.
-        * Stops at the first block Lin.cholesky cannot factor: every larger
-        * block holds it, so none can be factored either. */
+      /** The first prefix size at which `g` and `CholeskyRef.cholesky`
+        * differ, if any. Stops at the first block the reference cannot
+        * factor: every larger block holds it, so none can be factored
+        * either. */
       def firstDiff(i: Int): Option[Int] =
         if (i == a.length) None
-        else (Try(Lin.cholesky(a.take(i + 1))), Try(g.extend(a(i)))) match {
+        else (Try(CholeskyRef.cholesky(a.take(i + 1))), Try(g.extend(a(i)))) match {
           case (Success((l, jitter)), Success(_)) =>
-            escalated ||= jitter > Lin.Jitter
+            escalated ||= jitter > GrowingCholesky.Jitter
             val f = g.factor
             val same = g.size == i + 1 && f.length == i + 1 &&
               (0 to i).forall(p => (0 to p).forall(q => bits(f(p)(q)) == bits(l(p)(q)))) &&
-              bits(g.jitter) == bits(jitter) && bits(g.logDet) == bits(Lin.logDet(l))
+              bits(g.jitter) == bits(jitter) && bits(g.logDet) == bits(CholeskyRef.logDet(l))
             if (same) firstDiff(i + 1) else Some(i + 1)
           case (Failure(_: ArithmeticException), Failure(_: ArithmeticException)) =>
             escalated = true

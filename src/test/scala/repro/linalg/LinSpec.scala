@@ -5,10 +5,20 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class LinSpec extends AnyFunSuite {
 
+  /** L·Lᵀ for a factor whose row i holds just its first i + 1 entries. */
   private def matmulT(l: Array[Array[Double]]): Array[Array[Double]] = {
     val n = l.length
-    Array.tabulate(n, n)((i, j) => (0 until n).map(k => l(i)(k) * l(j)(k)).sum)
+    Array.tabulate(n, n)((i, j) => (0 to math.min(i, j)).map(k => l(i)(k) * l(j)(k)).sum)
   }
+
+  /** `a`'s rows fed to a fresh [[GrowingCholesky]] in order. */
+  private def grown(a: Array[Array[Double]]): GrowingCholesky = {
+    val g = new GrowingCholesky
+    a.foreach(g.extend)
+    g
+  }
+
+  private def cholesky(a: Array[Array[Double]]): Array[Array[Double]] = grown(a).factor
 
   private def randomSpd(n: Int, seed: Int): Array[Array[Double]] = {
     val r = new Random(seed)
@@ -19,22 +29,21 @@ class LinSpec extends AnyFunSuite {
   }
 
   test("cholesky of identity is identity") {
-    val (l, _) = Lin.cholesky(Array.tabulate(4, 4)((i, j) => if (i == j) 1.0 else 0.0))
+    val l = cholesky(Array.tabulate(4, 4)((i, j) => if (i == j) 1.0 else 0.0))
     // Default jitter 1e-10 shifts the diagonal by ~5e-11.
-    (0 until 4).foreach(i => (0 until 4).foreach(j =>
+    (0 until 4).foreach(i => (0 to i).foreach(j =>
       assert(math.abs(l(i)(j) - (if (i == j) 1.0 else 0.0)) < 1e-9)))
   }
 
   test("cholesky reconstructs the input: L·Lᵀ = A") {
     val a = randomSpd(8, 1)
-    val (l, _) = Lin.cholesky(a)
-    val rec = matmulT(l)
+    val rec = matmulT(cholesky(a))
     for (i <- 0 until 8; j <- 0 until 8)
       assert(math.abs(rec(i)(j) - a(i)(j)) < 1e-6, s"($i,$j)")
   }
 
   test("cholesky of known 2x2") {
-    val (l, _) = Lin.cholesky(Array(Array(4.0, 2.0), Array(2.0, 3.0)))
+    val l = cholesky(Array(Array(4.0, 2.0), Array(2.0, 3.0)))
     assert(math.abs(l(0)(0) - 2.0) < 1e-9)
     assert(math.abs(l(1)(0) - 1.0) < 1e-9)
     assert(math.abs(l(1)(1) - math.sqrt(2.0)) < 1e-9)
@@ -45,14 +54,12 @@ class LinSpec extends AnyFunSuite {
     val r = new Random(3)
     val x = Array.fill(6)(r.nextGaussian())
     val b = Array.tabulate(6)(i => (0 until 6).map(j => a(i)(j) * x(j)).sum)
-    val (l, _) = Lin.cholesky(a)
-    val got = Lin.choleskySolve(l, b)
+    val got = Lin.choleskySolve(cholesky(a), b)
     (0 until 6).foreach(i => assert(math.abs(got(i) - x(i)) < 1e-6))
   }
 
   test("solveLower then solveUpperT invert the triangular factors") {
-    val a = randomSpd(5, 4)
-    val (l, _) = Lin.cholesky(a)
+    val l = cholesky(randomSpd(5, 4))
     val b = Array.fill(5)(1.0)
     val y = Lin.solveLower(l, b)
     // L y = b
@@ -64,15 +71,24 @@ class LinSpec extends AnyFunSuite {
 
   test("logDet matches known determinant") {
     val a = Array(Array(4.0, 0.0), Array(0.0, 9.0))
-    val (l, _) = Lin.cholesky(a)
-    assert(math.abs(Lin.logDet(l) - math.log(36.0)) < 1e-9)
+    assert(math.abs(grown(a).logDet - math.log(36.0)) < 1e-9)
   }
 
   test("jitter escalation recovers a singular matrix") {
     val a = Array(Array(1.0, 1.0), Array(1.0, 1.0)) // rank 1
-    val (l, j) = Lin.cholesky(a)
-    assert(j > 0)
-    assert(!l(1)(1).isNaN)
+    val g = grown(a)
+    assert(g.jitter > 0)
+    assert(!g.factor(1)(1).isNaN)
+  }
+
+  test("jitter escalation stops after MaxTries jitters, leaving the factor as it was") {
+    val last = (1 until GrowingCholesky.MaxTries).foldLeft(GrowingCholesky.Jitter)((j, _) => j * 10)
+    // A(0, 0) = −last/2 factors only at the last jitter of the sequence.
+    val g = grown(Array(Array(-0.5 * last)))
+    assert(g.size == 1 && g.jitter == last)
+    assertThrows[ArithmeticException](g.extend(Array(0.0, -last)))
+    assert(g.size == 1 && g.jitter == last)
+    assertThrows[ArithmeticException](grown(Array(Array(-2.0 * last))))
   }
 
   test("dot product") {
@@ -80,7 +96,7 @@ class LinSpec extends AnyFunSuite {
   }
 
   test("solveLowerBlock solves every column as solveLower does, to the bit") {
-    val (l, _) = Lin.cholesky(randomSpd(7, 5))
+    val l = cholesky(randomSpd(7, 5))
     val r = new Random(6)
     for (m <- Seq(1, 3, 40)) {
       val b = Array.fill(7, m)(r.nextGaussian())

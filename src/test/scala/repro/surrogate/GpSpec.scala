@@ -3,7 +3,7 @@ package repro.surrogate
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.env.FleetGen
-import repro.linalg.Lin
+import repro.linalg.{CholeskyRef, Lin}
 
 class GpSpec extends AnyFunSuite {
   private val none = Array.empty[Int]
@@ -110,7 +110,7 @@ class GpSpec extends AnyFunSuite {
     val r = new Random(3)
     val xs = Array.fill(12)(Array(r.nextDouble(), r.nextDouble()))
     val k = matern52(Array(0, 1), 0.4)
-    val Vector(a, b) = Gp.fitAll(xs, Seq(xs.map(x => math.sin(5 * x(0)) + x(1)), xs.map(x => x(0) * x(1))),
+    val Vector(a, b) = GpTestKit.fitAll(xs, Seq(xs.map(x => math.sin(5 * x(0)) + x(1)), xs.map(x => x(0) * x(1))),
       _ => k)
     assert(a.f eq b.f)
     val pts = Array.fill(20)(Array(r.nextDouble(), r.nextDouble()))
@@ -118,18 +118,19 @@ class GpSpec extends AnyFunSuite {
     assert(pair(b, a, pts) == pts.toSeq.map(x => (b.predict(x), a.predict(x))))
   }
 
-  test("predictPair falls back for another kernel or training array") {
+  test("predictPair rejects GPs of different fits") {
     val xs = Array(Array(0.1), Array(0.5), Array(0.9))
     val ys = Array(1.0, 2.0, 0.5)
     val k = matern52(Array(0), 0.5)
-    val gp = Gp.fit(xs, ys, _ => k)
-    val others = Seq(
-      Gp.fit(xs, ys.reverse, _ => matern52(Array(0), 0.5)),
-      Gp.fit(xs.map(_.clone()), ys.reverse, _ => k))
-    others.foreach { o =>
-      assert(!(gp.f eq o.f))
-      val pts = Array(0.0, 0.3, 0.5, 0.77, 1.2).map(Array(_))
-      assert(pair(gp, o, pts) == pts.toSeq.map(x => (gp.predict(x), o.predict(x))))
+    val pts = Block.of(Array(0.0, 0.3, 0.5, 0.77, 1.2).map(Array(_)))
+    // One state's fits at two sizes, and a fit on the same points by
+    // another state.
+    val state = new GpState(_ => k, 1e-4)
+    val Vector(smaller) = state.update(xs.take(2).toIndexedSeq)(identity).fit(Seq(ys.take(2)))
+    val Vector(gp) = state.update(xs.toIndexedSeq)(identity).fit(Seq(ys))
+    for (o <- Seq(smaller, Gp.fit(xs, ys.reverse, _ => k))) {
+      assertThrows[IllegalArgumentException](gp.predictPair(o, pts))
+      assertThrows[IllegalArgumentException](o.predictPair(gp, pts))
     }
   }
 
@@ -139,7 +140,7 @@ class GpSpec extends AnyFunSuite {
     val xs = Array.fill(15)(point())
     val smooth = xs.map(x => math.sin(x(0)))
     val yss = Seq(smooth, xs.map(_ => r.nextGaussian()), smooth.map(y => 3.0 * y - 1.0))
-    val together = Gp.fitAll(xs, yss, kOf, noise = 1e-3)
+    val together = GpTestKit.fitAll(xs, yss, kOf, noise = 1e-3)
     val alone = yss.map(ys => Gp.fit(xs, ys, kOf, noise = 1e-3))
     // GPs that selected the same lengthscale share its factor.
     val shared = for (a <- together; b <- together if a ne b) yield a.f eq b.f
@@ -169,7 +170,7 @@ class GpSpec extends AnyFunSuite {
     val gram = Array.tabulate(n, n)((a, b) => ref(xs(a), xs(b)) + (if (a == b) noise else 0.0))
     (0 until n).foreach { i =>
       val keep = (0 until n).filter(_ != i).toArray
-      val (l, _) = Lin.cholesky(keep.map(a => keep.map(b => gram(a)(b))))
+      val (l, _) = CholeskyRef.cholesky(keep.map(a => keep.map(b => gram(a)(b))))
       val alpha = Lin.choleskySolve(l, keep.map(a => (ys(a) - yMean) / yStd))
       val mu = yMean + yStd * Lin.dot(keep.map(a => ref(xs(a), xs(i))), alpha)
       assert(math.abs(ys(i) - loo(i) - mu) < 1e-9, s"point $i")
@@ -198,7 +199,7 @@ class GpSpec extends AnyFunSuite {
       def reference(ls: Double, ys: Array[Double]): Array[Double] => Pred = {
         val k = refKernel(ls)
         val n = xs.length
-        val (l, _) = Lin.cholesky(Array.tabulate(n)(i =>
+        val (l, _) = CholeskyRef.cholesky(Array.tabulate(n)(i =>
           Array.tabulate(i + 1)(j => if (i == j) k(xs(j), xs(i)) + noise else k(xs(j), xs(i)))))
         val yMean = ys.sum / n
         val yStd = math.sqrt(ys.map(y => (y - yMean) * (y - yMean)).sum / n).max(1e-8)
@@ -213,21 +214,28 @@ class GpSpec extends AnyFunSuite {
 
       val pts = xs.take(m) ++ Array.fill(m - xs.take(m).length)(point())
       val block = Block.of(pts)
-      val Vector(sharedA, sharedB) = Gp.fitAll(xs, Seq(yA, yB), _ => kernel(1.0), noise)
-      val splitB = Gp.fit(xs, yB, _ => kernel(2.0), noise)
-      assert((sharedA.f eq sharedB.f) && !(sharedA.f eq splitB.f))
+      val Vector(sharedA, sharedB) = GpTestKit.fitAll(xs, Seq(yA, yB), _ => kernel(1.0), noise)
+      // Over the grid, not every target selects the lengthscale yA does.
+      val ys = Seq(yA, yB, xs.map(_.sum), { val q = new Random(22); xs.map(_ => q.nextGaussian()) })
+      val grid = GpTestKit.fitAll(xs, ys, kernel, noise).zip(ys)
+      val (gridA, yGA) = grid.head
+      val other = grid.find(_._1.f.ls != gridA.f.ls)
+      assert((sharedA.f eq sharedB.f) && other.nonEmpty, s"ds=$ds m=$m")
+      val (gridB, yGB) = other.get
       def bits(ps: Seq[Pred]) = ps.map(p =>
         (java.lang.Double.doubleToRawLongBits(p.mean), java.lang.Double.doubleToRawLongBits(p.variance)))
-      val refA = bits(pts.toSeq.map(reference(1.0, yA)))
-      for ((b, ls) <- Seq((sharedB, 1.0), (splitB, 2.0))) {
-        val (pa, pb) = sharedA.predictPair(b, block)
-        assert(bits(pa.toSeq) == refA, s"ds=$ds m=$m ls=$ls")
-        assert(bits(pb.toSeq) == bits(pts.toSeq.map(reference(ls, yB))), s"ds=$ds m=$m ls=$ls")
+      def ref(ls: Double, ts: Array[Double]) = bits(pts.toSeq.map(reference(ls, ts)))
+      val refA = ref(1.0, yA)
+      for ((a, b, ya, yb) <- Seq((sharedA, sharedB, yA, yB), (gridA, gridB, yGA, yGB))) {
+        val (lsA, lsB) = if (a eq sharedA) (1.0, 1.0) else (a.f.ls, b.f.ls)
+        val (pa, pb) = a.predictPair(b, block)
+        assert(bits(pa.toSeq) == ref(lsA, ya), s"ds=$ds m=$m ls=$lsA")
+        assert(bits(pb.toSeq) == ref(lsB, yb), s"ds=$ds m=$m ls=$lsB")
         assert(bits(b.predictBlock(block).toSeq) == bits(pb.toSeq))
       }
       assert(bits(sharedA.predictBlock(block).toSeq) == refA)
       assert(bits(pts.toSeq.map(sharedA.predict)) == refA)
-      val me = new MetaEnsemble(Vector(sharedA, splitB), Vector(0.3, 0.7))
+      val me = new MetaEnsemble(Vector(sharedA, gridB), Vector(0.3, 0.7))
       assert(bits(me.predictBlock(block).toSeq) == bits(pts.toSeq.map(me.predict)))
     }
   }

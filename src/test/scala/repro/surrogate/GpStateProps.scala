@@ -6,8 +6,9 @@ import org.scalacheck.Prop.propBoolean
 import repro.env.FleetGen
 import repro.space.ConfigSpace
 
-/** The session GP state and the distances-once kernel blocks, against
-  * `Gp.fitAll` from scratch and against the per-pair `KernelRef`. */
+/** The session GP state and the distances-once kernel blocks, against a
+  * fresh state's fit (`GpTestKit.fitAll`) and against the per-pair
+  * `KernelRef`. */
 object GpStateProps extends Properties("GpState") {
   private def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
   private def bits(ps: Seq[Pred]): Seq[(Long, Long)] = ps.map(p => (bits(p.mean), bits(p.variance)))
@@ -58,9 +59,9 @@ object GpStateProps extends Properties("GpState") {
         val (xn, t1, t2) = (xs.take(n), y1.take(n), y2.take(n))
         // The same point arrays, so a prefix of the history is recognised.
         val got = state.update(xs.toIndexedSeq.take(n))(identity).fit(Seq(t1, t2))
-        val ref = Gp.fitAll(xn, Seq(t1, t2), kernelOf, noise)
+        val ref = GpTestKit.fitAll(xn, Seq(t1, t2), kernelOf, noise)
         differentLs ||= got(0).f.ls != got(1).f.ls
-        escalated ||= Gp.LsGrid.indices.exists(state.factor(_).jitter > repro.linalg.Lin.Jitter)
+        escalated ||= Gp.LsGrid.indices.exists(state.factor(_).jitter > repro.linalg.GrowingCholesky.Jitter)
         state.n == n && got.zip(ref).forall { case (g, f) =>
           g.f.ls == f.f.ls && bits(g.predictBlock(pts).toSeq) == bits(f.predictBlock(pts).toSeq) &&
             g.looResiduals.map(bits).toSeq == f.looResiduals.map(bits).toSeq

@@ -12,7 +12,8 @@ class KernelsSpec extends AnyFunSuite {
   private def row(rows: KernelRows, y: Array[Double]): Array[Double] = rows.block(Block.of(Array(y))).map(_(0))
 
   /** k(x, y) through the production rows: `k` bound to the one point x. */
-  private def kv(k: MixedKernel, x: Array[Double], y: Array[Double]): Double = row(k.rows(Array(x)), y)(0)
+  private def kv(k: MixedKernel, x: Array[Double], y: Array[Double]): Double =
+    row(GpTestKit.rows(k, Array(x)), y)(0)
 
   private def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
 
@@ -47,8 +48,8 @@ class KernelsSpec extends AnyFunSuite {
   test("Matern52 over empty dims is constant 1") {
     val k = matern52(Array.empty, 0.5)
     assert(kv(k, Array(0.1), Array(0.9)) == 1.0)
-    assert(row(k.rows(Array(Array(0.1), Array(0.5))), Array(0.9)).toSeq == Seq(1.0, 1.0))
-    assert(row(sqExp(Array.empty, 0.5).rows(Array(Array(0.1))), Array(0.9)).toSeq == Seq(1.0))
+    assert(row(GpTestKit.rows(k, Array(Array(0.1), Array(0.5))), Array(0.9)).toSeq == Seq(1.0, 1.0))
+    assert(row(GpTestKit.rows(sqExp(Array.empty, 0.5), Array(Array(0.1))), Array(0.9)).toSeq == Seq(1.0))
   }
 
   test("SqExp matches exp(-d²/2ℓ²)") {
@@ -97,7 +98,7 @@ class KernelsSpec extends AnyFunSuite {
         (0 until space.dim).filter(space.isCat).foreach(i => u(i) += 0.6 * r.nextDouble() - 0.3)
         if (ds) u :+ r.nextDouble() else u
       }
-      val gram = k.rows(xs).block(Block.of(xs))
+      val gram = GpTestKit.rows(k, xs).block(Block.of(xs))
       xs.indices.foreach(i => assert(bits(gram(i)(i)) == bits(1.0), s"ds=$ds ls=$ls i=$i"))
     }
   }
@@ -132,18 +133,15 @@ class KernelsSpec extends AnyFunSuite {
       val xs = Array.tabulate(n)(i => distinct(i % distinct.length).clone())
       val k = MixedKernel.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
       val ref = KernelRef.forSpace(space, withDataSize = ds, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
-      val rows = k.rows(xs)
+      val rows = GpTestKit.rows(k, xs)
       // Gp factors the gram's lower triangle in place, as K's.
       val gram = rows.block(Block.of(xs))
       for (i <- 0 until n; j <- 0 until i)
         assert(bits(gram(i)(j)) == bits(gram(j)(i)), s"n=$n ds=$ds ls=$ls i=$i j=$j")
       val queries = xs ++ Array.fill(5)(point())
-      // All queries as one block, written into longer rows: column j is
-      // query j's row, and the entries past m stay as they were.
-      val m = queries.length
-      val block = Array.fill(n, m + 3)(-1.0)
-      rows.into(Block.of(queries), block)
-      assert(block.forall(_.drop(m).forall(_ == -1.0)))
+      // All queries as one block: column j is query j's row.
+      val block = rows.block(Block.of(queries))
+      assert(block.forall(_.length == queries.length))
       queries.zipWithIndex.foreach { case (x, j) =>
         val kx = row(rows, x)
         assert(kx.length == n)
